@@ -1,17 +1,23 @@
 # Developer entry points. `make check` is the CI gate: tier-1 tests, the
 # warning-level lint sweep over every builtin benchmark, the
-# abstract-interpretation sweep, and the campaign crash/quarantine/resume
-# and distributed (lease steal / fleet loss) smoke drills.
+# abstract-interpretation sweep, the campaign crash/quarantine/resume
+# and distributed (lease steal / fleet loss) smoke drills, and the pipeline
+# benchmark's own tests.
 
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: check test lint-circuits analyze paths campaign-smoke distributed-smoke verify-mask lint-py typecheck bench bench-obs bench-spcf
+.PHONY: check test lint-circuits analyze paths campaign-smoke distributed-smoke verify-mask lint-py typecheck bench bench-obs bench-spcf perfbench-test
 
-check: test lint-circuits analyze paths campaign-smoke distributed-smoke bench-spcf
+check: test lint-circuits analyze paths campaign-smoke distributed-smoke bench-spcf perfbench-test
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
+
+# Tests of the pipeline benchmark's own code (workloads, tracer, report),
+# which live outside the tier-1 testpaths.
+perfbench-test:
+	$(PYTHON) -m pytest perfbench -q
 
 lint-circuits:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro lint all --fail-on warning

@@ -162,14 +162,15 @@ def factor(cover: Cover) -> BoolExpr:
         return expr
 
     # No multi-cube kernel pays off: divide by the most frequent literal.
-    counts = _literal_counts(cover)
-    (pos, pol), count = counts.most_common(1)[0]
-    if count < 2:
-        # Completely disjoint cubes: plain OR of cube expressions.
+    ranked = _literal_counts(cover).most_common(1)
+    if not ranked or ranked[0][1] < 2:
+        # Completely disjoint cubes (or only tautology cubes): plain OR of
+        # cube expressions.
         acc = _cube_expr(cover.cubes[0], cover.names)
         for cube in cover.cubes[1:]:
             acc = acc | _cube_expr(cube, cover.names)
         return acc
+    (pos, pol), _ = ranked[0]
     divisor_cube = Cube.from_literals({pos: pol}, len(cover.names))
     quotient_cubes = []
     remainder_cubes = []

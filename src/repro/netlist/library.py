@@ -13,7 +13,7 @@ Two libraries ship with the reproduction:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Any, Hashable, Iterator
 
 from repro.errors import LibraryError
 from repro.netlist.cell import Cell
@@ -25,12 +25,19 @@ class Library:
 
     name: str
     _cells: dict[str, Cell] = field(default_factory=dict)
+    #: Results derived from the cells (the mapper's trial costs), held by
+    #: the library itself so they never outlive it or leak to another one.
+    #: Emptied by :meth:`add`.
+    memo: dict[Hashable, Any] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def add(self, cell: Cell) -> Cell:
         """Register a cell; raises on duplicate names."""
         if cell.name in self._cells:
             raise LibraryError(f"duplicate cell {cell.name!r} in library {self.name!r}")
         self._cells[cell.name] = cell
+        self.memo.clear()
         return cell
 
     def get(self, name: str) -> Cell:

@@ -1,11 +1,13 @@
 """Technology mapping of a :class:`TechNetwork` onto a cell library.
 
 Every node is lowered through :mod:`repro.synth.decompose`, picking whichever
-polarity (on-set SOP, or inverted off-set SOP) needs fewer literals — a
-simple area heuristic that mirrors what a commercial mapper's two-level view
-would do.  Node output nets keep their technology-independent names so that
-mapped circuits stay comparable with their specs (equivalence is
-property-tested in ``tests/synth``).
+polarity (on-set SOP, or inverted off-set SOP) maps faster, then smaller.
+Both are priced by :func:`trial_cost`, a cost-only lowering that records the
+arrival and area of each emitted gate instead of building and timing a
+scratch circuit; its ``(delay, area)`` equals scratch STA exactly.  Node
+output nets keep their technology-independent names so that mapped circuits
+stay comparable with their specs (equivalence is property-tested in
+``tests/synth``).
 """
 
 from __future__ import annotations
@@ -13,36 +15,38 @@ from __future__ import annotations
 from repro.logic.cover import Cover
 from repro.netlist.circuit import Circuit
 from repro.netlist.library import Library
-from repro.synth.decompose import GateBuilder, decompose_cover
+from repro.synth.decompose import CostBuilder, GateBuilder, decompose_cover
 from repro.synth.technet import TechNetwork
 
-_trial_cache: dict[tuple[int, Cover, bool], tuple[int, float]] = {}
+#: Entries a library's memo may hold before it is emptied.  Comfortably
+#: above the distinct covers priced while masking the whole Table-2 suite.
+_TRIAL_MEMO_LIMIT = 1 << 16
 
 
 def trial_cost(
     cover: Cover, library: Library, inverted: bool = False
 ) -> tuple[int, float]:
-    """Mapped ``(delay, area)`` of a cover, measured on a scratch circuit.
+    """Mapped ``(delay, area)`` of a cover, from a cost-only lowering.
 
     Used to choose between implementing a node as its on-set SOP or as the
     complement of its off-set SOP — the criterion is the *mapped* cost after
-    factoring, not the raw literal count.
+    factoring, not the raw literal count.  The cover is lowered through the
+    same :func:`decompose_cover` as real mapping, but into a
+    :class:`CostBuilder`, so the result equals the output arrival from STA
+    and the area of a scratch circuit built from it, without building one.
+    Results are memoized on ``library`` (emptied when a cell is added).
     """
-    key = (id(library), cover, inverted)
-    cached = _trial_cache.get(key)
+    memo = library.memo
+    key = (cover, inverted)
+    cached = memo.get(key)
     if cached is not None:
         return cached
-    scratch = Circuit("scratch", inputs=cover.names)
-    builder = GateBuilder(scratch, library, "t_")
+    builder = CostBuilder(cover.names, library, "t_")
     net = decompose_cover(cover, builder, invert_output=inverted)
-    if scratch.num_gates == 0:
-        result = (0, 0.0)
-    else:
-        from repro.sta.timing import analyze
-
-        report = analyze(scratch, target=0)
-        result = (report.arrival.get(net, 0), scratch.area())
-    _trial_cache[key] = result
+    result = (builder.arrival.get(net, 0), builder.area)
+    if len(memo) >= _TRIAL_MEMO_LIMIT:
+        memo.clear()
+    memo[key] = result
     return result
 
 

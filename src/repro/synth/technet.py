@@ -13,6 +13,7 @@ the off-set (the masking synthesis selects cubes from both).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from repro.bdd.manager import BddManager, Function
@@ -89,11 +90,13 @@ class TechNetwork:
         self.inputs: tuple[str, ...] = tuple(inputs)
         self.outputs: tuple[str, ...] = tuple(outputs)
         self._nodes: dict[str, TechNode] = {}
+        self._nodes_view: Mapping[str, TechNode] = MappingProxyType(self._nodes)
         self._topo: list[str] | None = None
 
     @property
     def nodes(self) -> Mapping[str, TechNode]:
-        return dict(self._nodes)
+        """Read-only *live* view of the nodes by name (no copy per access)."""
+        return self._nodes_view
 
     @property
     def num_nodes(self) -> int:
@@ -212,7 +215,7 @@ class TechNetwork:
 
     def copy(self, name: str | None = None) -> "TechNetwork":
         out = TechNetwork(name or self.name, self.inputs, self.outputs)
-        out._nodes = dict(self._nodes)
+        out._nodes.update(self._nodes)
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

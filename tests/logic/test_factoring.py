@@ -37,6 +37,12 @@ def test_empty_cover_is_constant_false():
     assert expr.op == "const" and expr.value is False
 
 
+def test_repeated_tautology_cubes_are_constant_true():
+    expr = factor(Cover.from_strings(NAMES, ["-----", "-----"]))
+    assert count_literals(expr) == 0
+    assert expr.evaluate(dict.fromkeys(NAMES, False)) is True
+
+
 def test_weak_divide_exact_division():
     # F = (a|b) & c  expanded: ac + bc, divisor (a|b)
     cov = Cover.from_strings(NAMES, ["1-1--", "-11--"])

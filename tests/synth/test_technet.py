@@ -93,3 +93,19 @@ def test_copy_independent():
     dup = net.copy("u")
     dup.remove_node("n1")
     assert "n1" in net.nodes and "n1" not in dup.nodes
+
+
+def test_nodes_is_a_live_read_only_view():
+    net = TechNetwork("t", ["a", "b"], [])
+    view = net.nodes
+    with pytest.raises(TypeError):
+        view["n1"] = and_node("n1", ["a", "b"])
+    with pytest.raises(TypeError):
+        del view["n1"]
+    net.add_node(and_node("n1", ["a", "b"]))
+    assert "n1" in view and view["n1"] is net.node("n1")
+    dup = net.copy("u")
+    dup.add_node(and_node("n2", ["n1", "a"]))
+    assert "n2" in dup.nodes and "n2" not in view
+    net.remove_node("n1")
+    assert "n1" not in view and "n1" in dup.nodes
