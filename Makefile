@@ -1,15 +1,15 @@
 # Developer entry points. `make check` is the CI gate: tier-1 tests, the
 # warning-level lint sweep over every builtin benchmark, the
 # abstract-interpretation sweep, the campaign crash/quarantine/resume
-# and distributed (lease steal / fleet loss) smoke drills, and the pipeline
-# benchmark's own tests.
+# and distributed (lease steal / fleet loss) smoke drills, the pipeline
+# benchmark's own tests, and the Table-2 identity gate.
 
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: check test lint-circuits analyze paths campaign-smoke distributed-smoke verify-mask lint-py typecheck bench bench-obs bench-spcf perfbench-test
+.PHONY: check test lint-circuits analyze paths campaign-smoke distributed-smoke verify-mask lint-py typecheck bench bench-obs bench-spcf perfbench-test table2-identity
 
-check: test lint-circuits analyze paths campaign-smoke distributed-smoke bench-spcf perfbench-test
+check: test lint-circuits analyze paths campaign-smoke distributed-smoke bench-spcf perfbench-test table2-identity
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
@@ -18,6 +18,13 @@ test:
 # which live outside the tier-1 testpaths.
 perfbench-test:
 	$(PYTHON) -m pytest perfbench -q
+
+# Table-2 identity: mask the 20 Table-2 circuits (formal self-verification on
+# the 18 mask_suite ones) and require every row to equal the recorded
+# perfbench/expected.json, so a synthesis change that moves any area, power,
+# slack or coverage figure fails here and not only while benchmarking.
+table2-identity:
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/check_table2.py
 
 lint-circuits:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro lint all --fail-on warning

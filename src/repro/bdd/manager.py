@@ -58,6 +58,9 @@ class BddManager:
         self._and_cache: dict[tuple[int, int], int] = {}
         self._xor_cache: dict[tuple[int, int], int] = {}
         self._ite_cache: dict[tuple[int, int, int], int] = {}
+        # Model-count memo per ``nvars`` (see satcount): nodes never change,
+        # so entries stay valid for the manager's lifetime.
+        self._count_memo: dict[int, dict[int, int]] = {}
         # Per-operation call counters and exact computed-table hit/miss
         # counters.  Off by default: managers created while observability is
         # disabled carry no wrappers at all, so the recursive hot paths keep
@@ -448,18 +451,24 @@ class BddManager:
         cache[u] = r
         return r
 
-    def _exists(self, u: int, levels: frozenset[int], cache: dict[int, int]) -> int:
+    def _exists(
+        self,
+        u: int,
+        levels: frozenset[int],
+        max_level: int,
+        cache: dict[int, int],
+    ) -> int:
         if u < 2:
             return u
         level = self._level[u]
-        if all(lv < level for lv in levels):
+        if max_level < level:
             # Every quantified variable is above this node: nothing to do.
             return u
         r = cache.get(u)
         if r is not None:
             return r
-        lo = self._exists(self._lo[u], levels, cache)
-        hi = self._exists(self._hi[u], levels, cache)
+        lo = self._exists(self._lo[u], levels, max_level, cache)
+        hi = self._exists(self._hi[u], levels, max_level, cache)
         if level in levels:
             r = self._or(lo, hi)
         else:
@@ -497,7 +506,11 @@ class BddManager:
         return r
 
     def satcount(self, u: int, nvars: int | None = None) -> int:
-        """Exact satisfying-assignment count of node ``u`` over ``nvars`` vars."""
+        """Exact satisfying-assignment count of node ``u`` over ``nvars`` vars.
+
+        Sub-counts are memoized on the manager per ``nvars``, so counting
+        many functions of one manager (every net of a circuit) shares them.
+        """
         if nvars is None:
             nvars = self.num_vars
         if u == 0:
@@ -507,7 +520,10 @@ class BddManager:
         level = self._level[u]
         if level >= nvars:
             raise BddError("satcount nvars smaller than function support")
-        return self._scaled_count(u, nvars, {}) << level
+        memo = self._count_memo.get(nvars)
+        if memo is None:
+            memo = self._count_memo[nvars] = {}
+        return self._scaled_count(u, nvars, memo) << level
 
     # ------------------------------------------------------------- iterators
 
@@ -640,7 +656,7 @@ class Function:
         levels = frozenset(mgr.level_of(n) for n in names)
         if not levels:
             return self
-        return Function(mgr, mgr._exists(self.node, levels, {}))
+        return Function(mgr, mgr._exists(self.node, levels, max(levels), {}))
 
     def forall(self, names: Iterable[str]) -> "Function":
         """Universally quantify the given variables."""

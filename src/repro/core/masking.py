@@ -28,11 +28,11 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
 from repro import obs
-from repro.bdd.manager import BddManager, Function
-from repro.bdd.isop import isop, isop_function
+from repro.bdd.manager import Function
 from repro.errors import MaskingError
 from repro.logic.cover import Cover
 from repro.logic.cube import Cube
+from repro.logic.truth import cover_table, full_mask, isop_cover
 from repro.netlist.circuit import Circuit
 from repro.netlist.library import Library
 from repro.core.cubeselect import SelectionResult, select_cubes
@@ -291,10 +291,13 @@ class MaskingSynthesizer:
         on_sel = select_cubes(on_pool, sigma, tfns, ctx.manager, n_pis)
         off_sel = select_cubes(off_pool, sigma, tfns, ctx.manager, n_pis)
 
-        local = BddManager(node.fanins)
-        f_local = node.on_cover.to_function(local)
-        image_cover = local_image_cover(node, sigma, tfns, ctx.manager)
-        image = image_cover.to_function(local)
+        # Node-local functions are truth tables over the fanins; only the
+        # care-set image and cube selection work on global BDDs.
+        names = node.fanins
+        width = len(names)
+        full = full_mask(width)
+        f_local = cover_table(node.on_cover)
+        image = cover_table(local_image_cover(node, sigma, tfns, ctx.manager))
         s1 = image & f_local
         s0 = image & ~f_local
 
@@ -307,8 +310,8 @@ class MaskingSynthesizer:
             (off_sel.kept, True, "n0-selected"),
         ]
         if self.use_dontcare_isop:
-            dc_on = Cover.from_cube_dicts(node.fanins, isop(s1, ~s0))
-            dc_off = Cover.from_cube_dicts(node.fanins, isop(s0, ~s1))
+            dc_on = isop_cover(names, s1, full ^ s0)
+            dc_off = isop_cover(names, s0, full ^ s1)
             candidates.append((dc_on, False, "dc-on"))
             candidates.append((dc_off, True, "dc-off"))
         best = min(
@@ -316,26 +319,28 @@ class MaskingSynthesizer:
             key=lambda cand: trial_cost(cand[0], self.library, inverted=cand[1]),
         )
         prediction_cover, inverted, source = best
-        pred_fn = prediction_cover.to_function(local)
+        pred = cover_table(prediction_cover, names)
         if inverted:
-            pred_fn = ~pred_fn
+            pred ^= full
 
         # Indicator: any function between the Sigma-image (coverage) and the
         # prediction-agreement set (soundness).  The paper forms e = n0 XOR
         # n1 and prunes non-essential cubes; the bounded ISOP is the same
         # simplification taken to its don't-care-exploiting conclusion.
-        agreement = ~(pred_fn ^ f_local)
-        if agreement.is_true:
-            indicator = Cover(node.fanins, (Cube.full(len(node.fanins)),))
+        agreement = full ^ (pred ^ f_local)
+        if agreement == full:
+            indicator = Cover(names, (Cube.full(width),))
             trivial = True
         elif self.use_dontcare_isop:
-            indicator = Cover.from_cube_dicts(node.fanins, isop(image, agreement))
+            indicator = isop_cover(names, image, agreement)
             trivial = False
         else:
-            e_fn = image | (
-                on_sel.kept.to_function(local) | off_sel.kept.to_function(local)
+            e_fn = (
+                image
+                | cover_table(on_sel.kept, names)
+                | cover_table(off_sel.kept, names)
             )
-            e_cover = Cover.from_cube_dicts(node.fanins, isop_function(e_fn))
+            e_cover = isop_cover(names, e_fn, e_fn)
             e_sel = select_cubes(e_cover, sigma, tfns, ctx.manager, n_pis)
             indicator = e_sel.kept
             trivial = False
@@ -389,25 +394,18 @@ class MaskingSynthesizer:
         self, name: str, cover: Cover, rename: Mapping[str, str], inverted: bool
     ) -> TechNode:
         """TechNode computing ``cover`` (or its complement) on renamed fanins."""
-        local = BddManager(cover.names)
-        fn = cover.to_function(local)
+        full = full_mask(len(cover.names))
+        table = cover_table(cover)
         if inverted:
-            fn = ~fn
-        on = Cover.from_cube_dicts(cover.names, isop_function(fn))
-        off = Cover.from_cube_dicts(cover.names, isop_function(~fn))
+            table ^= full
+        off = full ^ table
         renamed_names = tuple(rename[n] for n in cover.names)
-        remap = dict(zip(cover.names, renamed_names))
-
-        def remap_cover(c: Cover) -> Cover:
-            return Cover.from_cube_dicts(
-                renamed_names,
-                [
-                    {remap[k]: v for k, v in cube.to_dict(c.names).items()}
-                    for cube in c.cubes
-                ],
-            )
-
-        return TechNode(name, renamed_names, remap_cover(on), remap_cover(off))
+        return TechNode(
+            name,
+            renamed_names,
+            isop_cover(renamed_names, table, table),
+            isop_cover(renamed_names, off, off),
+        )
 
     def _build_masking_network(
         self,

@@ -14,42 +14,200 @@ trees but factored first.  This module implements classic algebraic
 
 Example: ``a&c | a&d | b&c | b&d`` factors into ``(a|b) & (c|d)``, halving
 the literal count and the mapped depth.
+
+The three functions keep their :class:`~repro.logic.cover.Cover` signatures
+but share one core that works on ``(pos, neg)`` literal bit masks (see
+:mod:`repro.logic.truth`): cube division, intersection and the common cube
+are a few integer operations instead of a walk over positional values.
+The core keeps every tie-break of the positional version — literals are
+counted in cube order then ascending position, the first most frequent
+literal wins, kernels are de-duplicated as cube multisets, a quotient is
+sorted in positional order (``0 < 1 < -``, position 0 first) while a
+remainder keeps cover order, and literal chains are left-associated — so
+the factored trees are identical.  Factoring is purely algebraic: it never
+asks a Boolean question, so nothing here needs a BDD.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from operator import itemgetter
+from typing import Callable, Iterator
 
 from repro.logic.cover import Cover
-from repro.logic.cube import DASH, Cube
 from repro.logic.expr import BoolExpr
+from repro.logic.truth import CubeMasks, cube_masks, masks_cover
+
+Cubes = list[CubeMasks]
 
 
-def _cube_expr(cube: Cube, names: tuple[str, ...]) -> BoolExpr:
-    lits = [
-        BoolExpr.var(names[i]) if v == 1 else ~BoolExpr.var(names[i])
-        for i, v in enumerate(cube.values)
-        if v != DASH
-    ]
-    if not lits:
-        return BoolExpr.const(True)
-    acc = lits[0]
-    for l in lits[1:]:
-        acc = acc & l
-    return acc
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
 
 
-def cube_quotient(cube: Cube, divisor: Cube) -> Cube | None:
-    """``cube / divisor`` for single cubes: ``None`` unless divisor ⊆ cube."""
-    out = []
-    for cv, dv in zip(cube.values, divisor.values):
-        if dv == DASH:
-            out.append(cv)
-        elif cv == dv:
-            out.append(DASH)
-        else:
-            return None
-    return Cube(tuple(out))
+def _literal(lit: int, names: tuple[str, ...]) -> BoolExpr:
+    """Expression of a literal: its position bit, negated if complemented."""
+    if lit > 0:
+        return BoolExpr.var(names[lit.bit_length() - 1])
+    return ~BoolExpr.var(names[(-lit).bit_length() - 1])
+
+
+def _cube_expr(cube: CubeMasks, names: tuple[str, ...]) -> BoolExpr:
+    pos, neg = cube
+    acc: BoolExpr | None = None
+    for bit in _bits(pos | neg):
+        lit = _literal(-bit if neg & bit else bit, names)
+        acc = lit if acc is None else acc & lit
+    return BoolExpr.const(True) if acc is None else acc
+
+
+def _literal_counts(cubes: Cubes) -> dict[int, int]:
+    """Occurrences per literal, in first-seen order (cube, then position).
+
+    A literal is its position bit, negated for the complemented literal.
+    """
+    counts: dict[int, int] = {}
+    get = counts.get
+    for pos, neg in cubes:
+        lits = pos | neg
+        while lits:
+            bit = lits & -lits
+            lits ^= bit
+            lit = -bit if neg & bit else bit
+            counts[lit] = get(lit, 0) + 1
+    return counts
+
+
+def _literal_quotient(cubes: Cubes, lit: int) -> Cubes:
+    """The cubes containing one literal, with the literal removed."""
+    if lit > 0:
+        return [(pos ^ lit, neg) for pos, neg in cubes if pos & lit]
+    return [(pos, neg ^ -lit) for pos, neg in cubes if neg & -lit]
+
+
+def _cube_free(cubes: Cubes) -> Cubes:
+    """Divide out the largest common cube of all cubes."""
+    common_pos = common_neg = -1
+    for pos, neg in cubes:
+        common_pos &= pos
+        common_neg &= neg
+    if not cubes or not (common_pos | common_neg):
+        return cubes
+    return [(pos ^ common_pos, neg ^ common_neg) for pos, neg in cubes]
+
+
+def _kernels(cubes: Cubes, counts: dict[int, int]) -> list[Cubes]:
+    """Level-0 kernel candidates: cube-free single-literal quotients."""
+    kernels: list[Cubes] = []
+    seen: set[tuple[CubeMasks, ...]] = set()
+    for lit, count in counts.items():
+        if count < 2:
+            continue
+        kernel = _cube_free(_literal_quotient(cubes, lit))
+        key = tuple(sorted(kernel))
+        if len(kernel) >= 2 and key not in seen:
+            seen.add(key)
+            kernels.append(kernel)
+    return kernels
+
+
+def _positional_key(width: int) -> Callable[[CubeMasks], int]:
+    """Sort key ordering mask cubes like their positional value tuples."""
+
+    def key(cube: CubeMasks) -> int:
+        # Each position is a base-4 digit, position 0 most significant:
+        # 0 -> 0, 1 -> 1, - -> 2.  Subtracting the literals from the
+        # all-dash number keeps the order of the digit strings.
+        pos, neg = cube
+        lowered = 0
+        for bit in _bits(pos | neg):
+            shift = 2 * (width - bit.bit_length())
+            lowered += (2 if neg & bit else 1) << shift
+        return -lowered
+
+    return key
+
+
+def _quotient(cubes: Cubes, divisor: Cubes, width: int) -> Cubes:
+    """The weak-division quotient, in positional order.
+
+    The cubes ``q`` such that ``d * q`` is a cube of the cover for every
+    divisor cube ``d``.
+    """
+    common: set[CubeMasks] | None = None
+    for d_pos, d_neg in divisor:
+        quotients = {
+            (pos ^ d_pos, neg ^ d_neg)
+            for pos, neg in cubes
+            if not (d_pos & ~pos or d_neg & ~neg)
+        }
+        common = quotients if common is None else common & quotients
+        if not common:
+            return []
+    return sorted(common or (), key=_positional_key(width))
+
+
+def _remainder(cubes: Cubes, divisor: Cubes, quotient: Cubes) -> Cubes:
+    """The cubes, in cover order, that ``divisor * quotient`` does not make."""
+    product = {
+        (d_pos | q_pos, d_neg | q_neg)
+        for d_pos, d_neg in divisor
+        for q_pos, q_neg in quotient
+        if not (d_pos & q_neg or d_neg & q_pos)
+    }
+    return [c for c in cubes if c not in product]
+
+
+def _factor(cubes: Cubes, names: tuple[str, ...]) -> BoolExpr:
+    if not cubes:
+        return BoolExpr.const(False)
+    if len(cubes) == 1:
+        return _cube_expr(cubes[0], names)
+
+    counts = _literal_counts(cubes)
+    best: tuple[int, Cubes, Cubes] | None = None
+    for kernel in _kernels(cubes, counts):
+        quotient = _quotient(cubes, kernel, len(names))
+        if not quotient:
+            continue
+        saved = (len(kernel) - 1) * (len(quotient) - 1)
+        if saved > 0 and (best is None or saved > best[0]):
+            best = (saved, kernel, quotient)
+
+    if best is not None:
+        _, kernel, quotient = best
+        remainder = _remainder(cubes, kernel, quotient)
+        expr = _factor(kernel, names) & _factor(quotient, names)
+        if remainder:
+            expr = expr | _factor(remainder, names)
+        return expr
+
+    # No multi-cube kernel pays off: divide by the most frequent literal
+    # (the first one seen among equals).
+    if not counts or max(counts.values()) < 2:
+        # Completely disjoint cubes (or only tautology cubes): plain OR of
+        # cube expressions.
+        acc = _cube_expr(cubes[0], names)
+        for cube in cubes[1:]:
+            acc = acc | _cube_expr(cube, names)
+        return acc
+    lit = max(counts.items(), key=itemgetter(1))[0]
+    quotient = _literal_quotient(cubes, lit)
+    if lit > 0:
+        remainder = [c for c in cubes if not c[0] & lit]
+    else:
+        remainder = [c for c in cubes if not c[1] & -lit]
+    expr = _literal(lit, names) & _factor(quotient, names)
+    if remainder:
+        expr = expr | _factor(remainder, names)
+    return expr
+
+
+def _masks(cover: Cover) -> Cubes:
+    return [cube_masks(c) for c in cover.cubes]
 
 
 def weak_divide(cover: Cover, divisor: Cover) -> tuple[Cover, Cover]:
@@ -58,132 +216,18 @@ def weak_divide(cover: Cover, divisor: Cover) -> tuple[Cover, Cover]:
     The quotient is the intersection, over divisor cubes, of the per-cube
     quotients; the remainder is whatever the product fails to reproduce.
     """
-    quotient_sets: list[dict[tuple[int, ...], Cube]] = []
-    for d in divisor.cubes:
-        qs: dict[tuple[int, ...], Cube] = {}
-        for c in cover.cubes:
-            q = cube_quotient(c, d)
-            if q is not None:
-                qs[q.values] = q
-        quotient_sets.append(qs)
-    if not quotient_sets:
-        return Cover(cover.names, ()), cover
-    common = set(quotient_sets[0])
-    for qs in quotient_sets[1:]:
-        common &= set(qs)
-    quotient = Cover(
-        cover.names, tuple(sorted((quotient_sets[0][v] for v in common),
-                                  key=lambda c: c.values))
-    )
-    # remainder = cover - divisor*quotient
-    product: set[tuple[int, ...]] = set()
-    for d in divisor.cubes:
-        for q in quotient.cubes:
-            merged = d.intersect(q)
-            if merged is not None:
-                product.add(merged.values)
-    remainder = Cover(
-        cover.names,
-        tuple(c for c in cover.cubes if c.values not in product),
-    )
-    return quotient, remainder
-
-
-def _literal_counts(cover: Cover) -> Counter:
-    counts: Counter = Counter()
-    for cube in cover.cubes:
-        for pos, pol in cube.literals().items():
-            counts[(pos, pol)] += 1
-    return counts
-
-
-def _make_cube_free(cover: Cover) -> Cover:
-    """Divide out the largest common cube of all cubes."""
-    if not cover.cubes:
-        return cover
-    common = list(cover.cubes[0].values)
-    for cube in cover.cubes[1:]:
-        for i, v in enumerate(cube.values):
-            if common[i] != v:
-                common[i] = DASH
-    if all(v == DASH for v in common):
-        return cover
-    divisor = Cube(tuple(common))
-    cubes = []
-    for cube in cover.cubes:
-        q = cube_quotient(cube, divisor)
-        cubes.append(q if q is not None else cube)
-    return Cover(cover.names, tuple(cubes))
+    cubes, divisor_cubes = _masks(cover), _masks(divisor)
+    quotient = _quotient(cubes, divisor_cubes, len(cover.names))
+    remainder = _remainder(cubes, divisor_cubes, quotient)
+    return masks_cover(cover.names, quotient), masks_cover(cover.names, remainder)
 
 
 def literal_kernels(cover: Cover) -> list[Cover]:
     """Level-0 kernel candidates: cube-free single-literal quotients."""
-    kernels: list[Cover] = []
-    seen: set[tuple[tuple[int, ...], ...]] = set()
-    for (pos, pol), count in _literal_counts(cover).items():
-        if count < 2:
-            continue
-        divisor = Cube.from_literals({pos: pol}, len(cover.names))
-        quotient_cubes = []
-        for cube in cover.cubes:
-            q = cube_quotient(cube, divisor)
-            if q is not None:
-                quotient_cubes.append(q)
-        kernel = _make_cube_free(Cover(cover.names, tuple(quotient_cubes)))
-        key = tuple(sorted(c.values for c in kernel.cubes))
-        if len(kernel.cubes) >= 2 and key not in seen:
-            seen.add(key)
-            kernels.append(kernel)
-    return kernels
+    cubes = _masks(cover)
+    return [masks_cover(cover.names, k) for k in _kernels(cubes, _literal_counts(cubes))]
 
 
 def factor(cover: Cover) -> BoolExpr:
     """Factored-form expression of the cover (algebraically equivalent)."""
-    if not cover.cubes:
-        return BoolExpr.const(False)
-    if len(cover.cubes) == 1:
-        return _cube_expr(cover.cubes[0], cover.names)
-
-    best: tuple[int, Cover] | None = None
-    for kernel in literal_kernels(cover):
-        quotient, remainder = weak_divide(cover, kernel)
-        if not quotient.cubes:
-            continue
-        saved = (len(kernel.cubes) - 1) * (len(quotient.cubes) - 1)
-        if saved > 0 and (best is None or saved > best[0]):
-            best = (saved, kernel)
-
-    if best is not None:
-        kernel = best[1]
-        quotient, remainder = weak_divide(cover, kernel)
-        expr = factor(kernel) & factor(quotient)
-        if remainder.cubes:
-            expr = expr | factor(remainder)
-        return expr
-
-    # No multi-cube kernel pays off: divide by the most frequent literal.
-    ranked = _literal_counts(cover).most_common(1)
-    if not ranked or ranked[0][1] < 2:
-        # Completely disjoint cubes (or only tautology cubes): plain OR of
-        # cube expressions.
-        acc = _cube_expr(cover.cubes[0], cover.names)
-        for cube in cover.cubes[1:]:
-            acc = acc | _cube_expr(cube, cover.names)
-        return acc
-    (pos, pol), _ = ranked[0]
-    divisor_cube = Cube.from_literals({pos: pol}, len(cover.names))
-    quotient_cubes = []
-    remainder_cubes = []
-    for cube in cover.cubes:
-        q = cube_quotient(cube, divisor_cube)
-        if q is not None:
-            quotient_cubes.append(q)
-        else:
-            remainder_cubes.append(cube)
-    lit = BoolExpr.var(cover.names[pos])
-    if not pol:
-        lit = ~lit
-    expr = lit & factor(Cover(cover.names, tuple(quotient_cubes)))
-    if remainder_cubes:
-        expr = expr | factor(Cover(cover.names, tuple(remainder_cubes)))
-    return expr
+    return _factor(_masks(cover), cover.names)

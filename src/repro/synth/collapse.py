@@ -1,41 +1,61 @@
 """Extraction of a technology-independent network from a mapped circuit.
 
 ``circuit_to_technet`` lifts every gate to a :class:`TechNode` (one node per
-gate, covers via ISOP of the cell function).  ``collapse`` then eliminates
-nodes into their fanouts — the reverse of technology decomposition — until
-every surviving node has up to ``max_support`` fanins (the paper works with
-complex nodes of 10–15 inputs).  Elimination is the classic SIS-style pass:
-a node is absorbed when the merged support and the re-extracted SOPs stay
-within bounds, preferring low-fanout nodes (absorbing a single-fanout node
-never duplicates logic).
+gate, covers via ISOP of the cell function's truth table).  ``collapse``
+then eliminates nodes into their fanouts — the reverse of technology
+decomposition — until every surviving node has up to ``max_support`` fanins
+(the paper works with complex nodes of 10–15 inputs).  Elimination is the
+classic SIS-style pass: a node is absorbed when the merged support and the
+re-extracted SOPs stay within bounds, preferring low-fanout nodes (absorbing
+a single-fanout node never duplicates logic).
+
+Both work on node-local truth tables (:mod:`repro.logic.truth`): a merge
+candidate is the reader's table with the eliminated node's table selecting
+between the reader's two cofactors, and its covers are the table ISOPs.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from repro.bdd.manager import BddManager
 from repro.errors import SynthesisError
+from repro.logic.cover import Cover
+from repro.logic.truth import cover_table, expr_table, full_mask, var_masks
 from repro.netlist.circuit import Circuit
-from repro.spcf.timedfunc import expr_to_function
-from repro.synth.technet import TechNetwork, TechNode, node_from_function
+from repro.synth.technet import TechNetwork, TechNode, node_from_table
+
+#: Largest ``max_support`` accepted: a merge candidate's table, over the
+#: support plus the eliminated node, then has at most 2**17 bits.
+MAX_SUPPORT = 16
 
 
 def circuit_to_technet(circuit: Circuit) -> TechNetwork:
     """One-to-one lift of a mapped circuit into a technology-independent net."""
     circuit.validate()
     net = TechNetwork(circuit.name, circuit.inputs, circuit.outputs)
+    # Gates of one cell whose pins alias the same fanins the same way get
+    # the same covers up to fanin names: build each shape once.
+    shapes: dict[tuple, tuple[tuple[int, ...], tuple, tuple]] = {}
     for name in circuit.topo_order():
         gate = circuit.gates[name]
         cell = gate.cell
         distinct = tuple(dict.fromkeys(gate.fanins))
-        mgr = BddManager(distinct)
-        env = {
-            pin: mgr.var(fanin)
-            for pin, fanin in zip(cell.inputs, gate.fanins)
-        }
-        fn = expr_to_function(cell.expr, env, mgr)
-        net.add_node(node_from_function(name, distinct, fn))
+        pattern = tuple(distinct.index(f) for f in gate.fanins)
+        key = (cell, pattern)
+        shape = shapes.get(key)
+        if shape is None:
+            masks = var_masks(len(distinct))
+            env = {pin: masks[p] for pin, p in zip(cell.inputs, pattern)}
+            table = expr_table(cell.expr, env, len(distinct))
+            node = node_from_table(name, distinct, table)
+            kept = tuple(distinct.index(f) for f in node.fanins)
+            shape = (kept, node.on_cover.cubes, node.off_cover.cubes)
+            shapes[key] = shape
+        kept, on_cubes, off_cubes = shape
+        fanins = tuple(distinct[p] for p in kept)
+        net.add_node(
+            TechNode(name, fanins, Cover(fanins, on_cubes), Cover(fanins, off_cubes))
+        )
     net.validate()
     return net
 
@@ -52,7 +72,8 @@ def collapse(
     Parameters
     ----------
     max_support:
-        Upper bound on the fanin count of any merged node (paper: 10–15).
+        Upper bound on the fanin count of any merged node (paper: 10–15;
+        at most :data:`MAX_SUPPORT`).
     max_cubes:
         Upper bound on the cube count of either re-extracted cover; keeps
         the ISOPs (and later the cube-selection pass) tractable.
@@ -67,6 +88,10 @@ def collapse(
     """
     if max_support < 2:
         raise SynthesisError(f"max_support {max_support} too small")
+    if max_support > MAX_SUPPORT:
+        raise SynthesisError(
+            f"max_support {max_support} too large (at most {MAX_SUPPORT})"
+        )
 
     def best_cost(tech_node: TechNode) -> tuple[int, float]:
         from repro.synth.mapping import trial_cost
@@ -104,19 +129,12 @@ def collapse(
             if len(support) > max_support:
                 ok = False
                 break
-            mgr = BddManager(dict.fromkeys((*support, name)))
-            node_fn = node.on_cover.to_function(mgr)
-            reader_fn = reader.on_cover.to_function(mgr)
-            combined = reader_fn.compose({name: node_fn})
-            candidate = node_from_function(reader_name, support, combined)
             # XOR-rich functions have no compact SOP (a k-input parity has
             # 2^(k-1) cubes); refusing candidates whose cover exceeds its
             # support size keeps such structures as separate nodes.
             cube_cap = min(max_cubes, max(4, len(support)))
-            if (
-                candidate.on_cover.num_cubes > cube_cap
-                or candidate.off_cover.num_cubes > cube_cap
-            ):
+            candidate = _merge_candidate(node, reader, support, cube_cap)
+            if candidate is None:
                 ok = False
                 break
             if library is not None:
@@ -148,3 +166,22 @@ def collapse(
                 queued.add(follow_up)
     net.validate()
     return net
+
+
+def _merge_candidate(
+    node: TechNode, reader: TechNode, support: tuple[str, ...], max_cubes: int
+) -> TechNode | None:
+    """``reader`` with ``node`` substituted for its fanin, over ``support``.
+
+    The reader's table over ``(*support, node.name)`` has the eliminated
+    variable last, so its low and high halves are the two cofactors; the
+    node's table selects between them.  ``None`` when either cover of the
+    result has more than ``max_cubes`` cubes.
+    """
+    half = 1 << len(support)
+    reader_table = cover_table(reader.on_cover, (*support, node.name))
+    r0 = reader_table & ((1 << half) - 1)
+    r1 = reader_table >> half
+    node_table = cover_table(node.on_cover, support)
+    combined = (node_table & r1) | ((full_mask(len(support)) ^ node_table) & r0)
+    return node_from_table(reader.name, support, combined, max_cubes=max_cubes)

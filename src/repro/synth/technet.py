@@ -14,12 +14,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from repro.bdd.manager import BddManager, Function
-from repro.bdd.isop import isop_function
 from repro.errors import SynthesisError
 from repro.logic.cover import Cover
+from repro.logic.truth import (
+    cover_table,
+    full_mask,
+    function_table,
+    isop,
+    masks_cover,
+    support,
+)
 
 
 @dataclass(frozen=True)
@@ -53,13 +60,46 @@ class TechNode:
 
     def check_consistent(self) -> None:
         """Verify the on/off covers partition the local input space."""
-        mgr = BddManager(self.fanins)
-        on = self.on_cover.to_function(mgr)
-        off = self.off_cover.to_function(mgr)
-        if not (on & off).is_false or not (on | off).is_true:
+        on = cover_table(self.on_cover)
+        off = cover_table(self.off_cover)
+        if on & off or on | off != full_mask(self.num_fanins):
             raise SynthesisError(
                 f"node {self.name!r}: on/off covers are not complementary"
             )
+
+
+def node_from_table(
+    name: str,
+    order: Sequence[str],
+    table: int,
+    fanins: Iterable[str] | None = None,
+    max_cubes: int | None = None,
+) -> TechNode | None:
+    """Build a node from a truth table over the variables ``order``.
+
+    The on/off covers are the truth-table ISOPs of the function and its
+    complement, splitting in ``order``.  They are written over ``fanins``
+    (default: ``order``), keeping only the fanins in the function's support,
+    so collapsed nodes keep a minimal support set.  With ``max_cubes``,
+    returns ``None`` as soon as either cover has more cubes than that.
+    """
+    width = len(order)
+    on = isop(table, table, width)
+    if max_cubes is not None and len(on) > max_cubes:
+        return None
+    off_table = full_mask(width) ^ table
+    off = isop(off_table, off_table, width)
+    if max_cubes is not None and len(off) > max_cubes:
+        return None
+    position = {order[p]: p for p in support(table, width)}
+    kept = tuple(f for f in (order if fanins is None else fanins) if f in position)
+    positions = [position[f] for f in kept]
+    return TechNode(
+        name,
+        kept,
+        masks_cover(order, on, positions),
+        masks_cover(order, off, positions),
+    )
 
 
 def node_from_function(
@@ -67,14 +107,15 @@ def node_from_function(
 ) -> TechNode:
     """Build a node from a BDD over variables named like the fanins.
 
-    Fanins not in the function's support are dropped, so collapsed nodes
-    keep a minimal support set.
+    The function is turned into a truth table over the fanins in manager
+    order, so the covers equal the BDD ISOPs of ``fn`` and ``~fn``; fanins
+    not in the function's support are dropped.
     """
-    support = fn.support()
-    kept = tuple(f for f in fanins if f in support)
-    on = Cover.from_cube_dicts(kept, isop_function(fn))
-    off = Cover.from_cube_dicts(kept, isop_function(~fn))
-    return TechNode(name, kept, on, off)
+    fanins = tuple(fanins)
+    mgr = fn.manager
+    known = set(mgr.var_names)
+    order = sorted((f for f in fanins if f in known), key=mgr.level_of)
+    return node_from_table(name, order, function_table(fn, order), fanins)
 
 
 class TechNetwork:

@@ -265,3 +265,33 @@ def test_quantification_bounds(tree, idx):
     name = VARS[idx]
     assert fn.forall([name]).is_subset_of(fn)
     assert fn.is_subset_of(fn.exists([name]))
+
+
+@given(exprs(), st.sets(st.sampled_from(VARS)))
+@settings(max_examples=80, deadline=None)
+def test_quantification_equals_cofactor_reference(tree, names):
+    """exists/forall over a level set equal the cofactor OR/AND expansion."""
+    mgr = BddManager(VARS)
+    fn = build_fn(tree, mgr)
+    some, every = fn, fn
+    for name in names:
+        some = some.restrict({name: False}) | some.restrict({name: True})
+        every = every.restrict({name: False}) & every.restrict({name: True})
+    assert fn.exists(names) == some
+    assert fn.forall(names) == every
+
+
+@given(st.lists(exprs(), min_size=1, max_size=4), st.data())
+@settings(max_examples=40, deadline=None)
+def test_interleaved_counts_equal_fresh_manager_counts(trees, data):
+    """The per-manager count memo never mixes two ``nvars``."""
+    mgr = BddManager(VARS)
+    fns = [build_fn(t, mgr) for t in trees]
+    for step in range(6):
+        i = data.draw(st.integers(0, len(fns) - 1))
+        nvars = data.draw(st.sampled_from([None, len(VARS), len(VARS) + 2]))
+        if step == 3:
+            mgr.add_var(f"extra{step}")
+        fresh = BddManager(mgr.var_names)
+        expected = build_fn(trees[i], fresh).count(nvars)
+        assert fns[i].count(nvars) == expected

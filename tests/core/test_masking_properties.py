@@ -90,6 +90,16 @@ def test_dontcare_isop_toggle(dontcare):
     assert_invariants(c, UNIT, dontcare_isop=dontcare, max_support=8)
 
 
+@pytest.mark.parametrize("seed", [0, 2, 8, 10])
+def test_paper_indicator_branch_is_sound(seed):
+    """Without don't-care ISOPs the indicator is the selected e = n0 | n1."""
+    c = random_dag_circuit(seed, num_inputs=7, num_gates=18, library=LSI, num_outputs=3)
+    result = assert_invariants(c, LSI, dontcare_isop=False)
+    assert any(not m.indicator_trivial for m in result.node_maskings.values())
+    for masking in result.node_maskings.values():
+        assert masking.prediction_source in ("n1-selected", "n0-selected")
+
+
 def test_real_circuits_with_lsi_library():
     for make in (lambda: ripple_adder(3, LSI), lambda: priority_encoder(6, LSI)):
         c = make()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bdd import BddManager
+from repro.bdd import BddManager, isop_function
 from repro.errors import SynthesisError
 from repro.logic import Cover
 from repro.logic.cube import Cube
@@ -43,6 +43,19 @@ def test_node_from_function_drops_unused_fanins():
     mgr = BddManager(["a", "b", "c"])
     node = node_from_function("n", ["a", "b", "c"], mgr.var("a") & mgr.var("c"))
     assert node.fanins == ("a", "c")
+
+
+def test_node_from_function_splits_in_manager_order():
+    """Covers are the BDD ISOPs (manager order), written over the fanins."""
+    mgr = BddManager(["d", "c", "b", "a"])
+    a, b, c, d = (mgr.var(n) for n in "abcd")
+    fn = (a & ~b) | (c & d) | (~a & b & ~d)
+    fanins = ("a", "b", "c", "d")
+    node = node_from_function("n", fanins, fn)
+    assert node.fanins == fanins
+    assert node.on_cover == Cover.from_cube_dicts(fanins, isop_function(fn))
+    assert node.off_cover == Cover.from_cube_dicts(fanins, isop_function(~fn))
+    node.check_consistent()
 
 
 def test_network_structure_and_validation():
