@@ -11,32 +11,13 @@ of the critical delay) is computed two ways on each circuit:
   single shared lazy context consulting the certificates (the precertify
   call is timed *inside* the optimized window — the gate is end-to-end).
 
-A third configuration rides the same sweep since the ``repro.exec`` PR:
-
-* ``parallel`` — the identical precertify + multi-root work, but fanned
-  per output across a **persistent 4-worker process pool**
-  (:func:`repro.spcf.spcf_parallel_multi`).  The pool is created once,
-  outside every timed window, and reused across circuits and repeats —
-  the measurement is steady-state fan-out cost, not interpreter startup.
-
 Gates (``check_targets``):
 
 * **correctness** — per target and output, the optimized SPCF is
   **bit-identical** to the baseline's (identical ROBDD cube sequences;
-  canonicity makes this exact function equality), and so is the parallel
-  sweep — with zero quarantined outputs,
+  canonicity makes this exact function equality),
 * **speedup** — the median over circuits of baseline/optimized wall clock
-  is at least ``2.0``,
-* **parallel speedup** — the median over circuits of baseline/parallel
-  wall clock at 4 workers is at least ``1.5``: the full proposed pipeline
-  (pre-certification + fan-out) against the pre-PR serial sweep, the same
-  numerator the serial gate uses.  Applied only when the machine actually
-  has 4 cores (``os.cpu_count() >= 4``): fan-out cannot beat serial on
-  fewer cores, but the ratio is recorded either way, along with
-  ``parallel_vs_optimized`` (fan-out against the serial multi-root pass —
-  below 1.0 on circuits whose whole sweep costs a few milliseconds, where
-  wire cost dominates; the fan-out exists for the blowup regime the
-  per-task timeout/quarantine machinery guards).
+  is at least ``2.0``.
 
 Results go to ``BENCH_spcf.json`` next to the repo root.  Run standalone
 (``python benchmarks/bench_spcf.py``), in CI check mode (``--check``,
@@ -56,12 +37,10 @@ from pathlib import Path
 
 from repro.analysis.precert import PrecertConfig, precertify
 from repro.benchcircuits import circuit_by_name
-from repro.exec import ProcessPoolExecutor
 from repro.netlist import lsi10k_like_library
 from repro.spcf import (
     SpcfContext,
     spcf_multiroot,
-    spcf_parallel_multi,
     spcf_shortpath,
 )
 from repro.spcf.multiroot import resolve_sweep_targets
@@ -93,11 +72,6 @@ CHECK_REPEATS = 3
 
 SPEEDUP_GATE = 2.0
 
-#: The parallel gate: serial/parallel median at this pool size must reach
-#: the ratio below — on machines with that many cores.
-PARALLEL_WORKERS = 4
-PARALLEL_SPEEDUP_GATE = 1.5
-
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_spcf.json"
 
 
@@ -122,14 +96,6 @@ def _optimized_sweep(circuit, targets):
     return spcf_multiroot(circuit, targets=targets, certificates=certs), certs
 
 
-def _parallel_sweep(circuit, targets, pool):
-    """The optimized sweep's exact work, fanned per output across ``pool``."""
-    certs = precertify(circuit, targets=targets, config=_SPEED_CONFIG)
-    return spcf_parallel_multi(
-        circuit, targets=targets, certificates=certs, executor=pool
-    )
-
-
 def _canonical(result):
     """Cross-manager comparable form: output -> ROBDD cube sequence."""
     return {
@@ -152,7 +118,7 @@ def _time(fn, repeats):
     return best
 
 
-def run_circuit(name: str, repeats: int, library, pool) -> dict:
+def run_circuit(name: str, repeats: int, library) -> dict:
     circuit = circuit_by_name(name, library)
     targets = resolve_sweep_targets(
         SpcfContext(circuit), None, THRESHOLDS
@@ -163,19 +129,9 @@ def run_circuit(name: str, repeats: int, library, pool) -> dict:
     identical = all(
         _canonical(base[tgt]) == _canonical(opt[tgt]) for tgt in targets
     )
-    # Warm run doubles as the correctness check (and primes the workers'
-    # per-circuit context caches before the timed window).
-    par = _parallel_sweep(circuit, targets, pool)
-    parallel_identical = all(
-        _canonical(base[tgt]) == _canonical(par[tgt]) for tgt in targets
-    )
-    parallel_incomplete = sum(len(r.incomplete) for r in par.values())
 
     baseline_s = _time(lambda: _baseline_sweep(circuit, targets), repeats)
     optimized_s = _time(lambda: _optimized_sweep(circuit, targets), repeats)
-    parallel_s = _time(
-        lambda: _parallel_sweep(circuit, targets, pool), repeats
-    )
     counts = certs.counts()
     return {
         "inputs": len(circuit.inputs),
@@ -191,35 +147,19 @@ def run_circuit(name: str, repeats: int, library, pool) -> dict:
         "baseline_s": baseline_s,
         "optimized_s": optimized_s,
         "speedup": round(baseline_s / optimized_s, 3),
-        "parallel_s": parallel_s,
-        "parallel_speedup": round(baseline_s / parallel_s, 3),
-        "parallel_vs_optimized": round(optimized_s / parallel_s, 3),
-        "parallel_identical": parallel_identical,
-        "parallel_incomplete": parallel_incomplete,
     }
 
 
 def measure(repeats: int = REPEATS, library=None) -> dict:
     library = library or lsi10k_like_library()
-    with ProcessPoolExecutor(workers=PARALLEL_WORKERS) as pool:
-        rows = {
-            name: run_circuit(name, repeats, library, pool)
-            for name in CIRCUITS
-        }
+    rows = {name: run_circuit(name, repeats, library) for name in CIRCUITS}
     speedups = [row["speedup"] for row in rows.values()]
-    parallel_speedups = [row["parallel_speedup"] for row in rows.values()]
     return {
         "thresholds": list(THRESHOLDS),
         "repeats": repeats,
         "speedup_gate": SPEEDUP_GATE,
         "median_speedup": round(statistics.median(speedups), 3),
-        "parallel_workers": PARALLEL_WORKERS,
-        "parallel_speedup_gate": PARALLEL_SPEEDUP_GATE,
-        "parallel_gate_applies": (os.cpu_count() or 1) >= PARALLEL_WORKERS,
         "cpu_count": os.cpu_count() or 1,
-        "median_parallel_speedup": round(
-            statistics.median(parallel_speedups), 3
-        ),
         "rows": rows,
     }
 
@@ -227,17 +167,14 @@ def measure(repeats: int = REPEATS, library=None) -> dict:
 def print_table(payload: dict) -> None:
     print(
         f"{'circuit':18s} {'in':>4s} {'gates':>6s} {'oblig':>6s} "
-        f"{'disch%':>7s} {'base':>9s} {'opt':>9s} {'speedup':>8s} "
-        f"{'par':>9s} {'par-spd':>8s} ident"
+        f"{'disch%':>7s} {'base':>9s} {'opt':>9s} {'speedup':>8s} ident"
     )
     for name, row in payload["rows"].items():
         print(
             f"{name:18s} {row['inputs']:4d} {row['gates']:6d} "
             f"{row['obligations']:6d} {100 * row['discharge_rate']:6.1f}% "
             f"{row['baseline_s'] * 1e3:7.1f}ms {row['optimized_s'] * 1e3:7.1f}ms "
-            f"{row['speedup']:7.2f}x "
-            f"{row['parallel_s'] * 1e3:7.1f}ms {row['parallel_speedup']:7.2f}x "
-            f"{row['identical'] and row['parallel_identical']}"
+            f"{row['speedup']:7.2f}x {row['identical']}"
         )
     print(
         f"median speedup {payload['median_speedup']:.2f}x over "
@@ -245,44 +182,18 @@ def print_table(payload: dict) -> None:
         f"thresholds (gate >= {payload['speedup_gate']}x; JSON written to "
         f"{RESULT_PATH})"
     )
-    gate_note = (
-        f"gate >= {payload['parallel_speedup_gate']}x"
-        if payload["parallel_gate_applies"]
-        else f"gate skipped: {payload['cpu_count']} core(s) < "
-        f"{payload['parallel_workers']} workers"
-    )
-    print(
-        f"median parallel speedup {payload['median_parallel_speedup']:.2f}x "
-        f"at {payload['parallel_workers']} workers ({gate_note})"
-    )
 
 
 def check_targets(payload: dict) -> None:
-    """The acceptance gates: exact, >= 2x serial, >= 1.5x parallel."""
+    """The acceptance gates: exact and >= 2x."""
     for name, row in payload["rows"].items():
         assert row["identical"], (
             f"{name}: optimized sweep is not bit-identical to the baseline"
-        )
-        assert row["parallel_identical"], (
-            f"{name}: parallel sweep is not bit-identical to the baseline"
-        )
-        assert row["parallel_incomplete"] == 0, (
-            f"{name}: parallel sweep quarantined "
-            f"{row['parallel_incomplete']} output task(s)"
         )
     assert payload["median_speedup"] >= payload["speedup_gate"], (
         f"median speedup {payload['median_speedup']}x below the "
         f"{payload['speedup_gate']}x gate"
     )
-    if payload["parallel_gate_applies"]:
-        assert (
-            payload["median_parallel_speedup"]
-            >= payload["parallel_speedup_gate"]
-        ), (
-            f"median parallel speedup {payload['median_parallel_speedup']}x "
-            f"at {payload['parallel_workers']} workers below the "
-            f"{payload['parallel_speedup_gate']}x gate"
-        )
 
 
 def run_suite(repeats: int = REPEATS, library=None) -> dict:

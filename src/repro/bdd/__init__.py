@@ -6,9 +6,6 @@ Public surface:
 * :class:`~repro.bdd.manager.Function` — operator-overloaded function handle.
 * :func:`~repro.bdd.isop.isop` / :func:`~repro.bdd.isop.isop_function` —
   Minato–Morreale irredundant SOP extraction.
-* :func:`~repro.bdd.serialize.function_to_json` /
-  :func:`~repro.bdd.serialize.function_from_json` — linear-size DAG
-  round-trip for shipping functions across process boundaries.
 """
 
 from repro.bdd.isop import cover_to_function, isop, isop_function
@@ -19,7 +16,6 @@ from repro.bdd.manager import (
     cube_function,
     disjunction,
 )
-from repro.bdd.serialize import BDD_SCHEMA, function_from_json, function_to_json
 
 __all__ = [
     "BddManager",
@@ -30,7 +26,4 @@ __all__ = [
     "isop",
     "isop_function",
     "cover_to_function",
-    "BDD_SCHEMA",
-    "function_to_json",
-    "function_from_json",
 ]

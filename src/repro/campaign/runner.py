@@ -82,7 +82,7 @@ _SHARD_SECONDS = _METER.histogram(
 
 #: Executor backends a campaign may run on (``auto`` keeps the historical
 #: ``workers`` convention: 0 -> inline, otherwise a local process pool).
-CAMPAIGN_BACKENDS = ("auto", "inline", "thread", "process", "queue")
+CAMPAIGN_BACKENDS = ("auto", "inline", "process", "queue")
 
 
 @dataclass(frozen=True)

@@ -2,38 +2,23 @@
 
 :func:`run_shard_task` / :func:`shard_task_span` are the registry entries
 the generic execution substrate resolves — the persistent worker pool
-(:mod:`repro.exec.worker`) calls them for every ``campaign.shard`` task,
-wrapping the run in the same ``campaign.worker_shard`` span the original
-single-shot worker opened.
-
-The single-shot protocol (``python -m repro.campaign.worker``: one JSON
-request on stdin, one response on stdout, exit nonzero on deterministic
-failure) is kept as a compatibility shim for drills and ad-hoc debugging;
-the campaign runner itself now dispatches through the pool.
-
-Sabotage directives (SIGKILL self, hang, exit nonzero) live in
-:mod:`repro.exec.worker` now; the names are re-exported here unchanged.
+(:mod:`repro.exec.worker`) and the queue workers call them for every
+``campaign.shard`` task, wrapping the run in a ``campaign.worker_shard``
+span.  Sabotage drills (SIGKILL self, hang, exit nonzero) live in
+:mod:`repro.exec.protocol`.
 """
 
 from __future__ import annotations
 
-import json
-import sys
-import time
 from typing import Any, Mapping
 
-from repro import obs
 from repro.campaign.shard import run_shard
-from repro.campaign.spec import SCHEMA_VERSION, ShardSpec
+from repro.campaign.spec import ShardSpec
 from repro.errors import ReproError
-from repro.exec.protocol import SABOTAGE_MODES, apply_sabotage
 
 __all__ = [
-    "SABOTAGE_MODES",
-    "apply_sabotage",
     "run_shard_task",
     "shard_task_span",
-    "main",
 ]
 
 
@@ -57,46 +42,3 @@ def shard_task_span(
     except ReproError:
         pass
     return ("campaign", "campaign.worker_shard", attrs)
-
-
-def main() -> int:
-    try:
-        request = json.load(sys.stdin)
-    except ValueError:
-        print(json.dumps({"error": "worker request is not valid JSON"}))
-        return 1
-    attempt = int(request.get("attempt", 0))
-    apply_sabotage(request.get("sabotage"), attempt)
-    try:
-        shard = ShardSpec.from_json(request["shard"])
-        started = time.perf_counter()
-        with obs.get_tracer("campaign").span(
-            "campaign.worker_shard",
-            shard=shard.index,
-            circuit=shard.circuit,
-            mode=shard.mode_key,
-            attempt=attempt,
-        ):
-            result = run_shard(shard)
-        wall = time.perf_counter() - started
-    except (ReproError, KeyError, TypeError, ValueError) as exc:
-        # A deterministic shard failure: report it as data so the runner
-        # can quarantine immediately instead of burning retries.
-        print(json.dumps({"schema": SCHEMA_VERSION,
-                          "error": f"{type(exc).__name__}: {exc}"}))
-        return 1
-    response: dict = {"schema": SCHEMA_VERSION, "result": result}
-    if obs.enabled():
-        # Ship this process's telemetry back across the stdio protocol so
-        # the runner can stitch worker spans into one campaign timeline.
-        response["obs"] = {
-            "wall_seconds": round(wall, 6),
-            "spans": obs.span_records(),
-            "metrics": obs.metrics_snapshot(),
-        }
-    print(json.dumps(response))
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

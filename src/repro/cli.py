@@ -5,7 +5,7 @@ Usage (installed as ``python -m repro``)::
     python -m repro list
     python -m repro report C432
     python -m repro spcf C432 --algorithm all
-    python -m repro spcf comparator2 --precert --jobs 4
+    python -m repro spcf comparator2 --precert
     python -m repro mask C432 --out masked.blif --mask-out mask.blif
     python -m repro lint C432 --format json
     python -m repro lint all --fail-on warning --baseline lint.baseline.json
@@ -95,7 +95,7 @@ from repro.analysis import (
 from repro.analysis.absint import AbsintConfig, analyze_circuit, analyze_suite
 from repro.core import build_masked_design, mask_circuit, synthesize_masking
 from repro.engine import available_backends, numpy_available, validated_backend_name
-from repro.errors import BlifError, CampaignError, ExecError, ReproError
+from repro.errors import BlifError, CampaignError, ReproError, SpcfError
 from repro.exec import (
     QueueWorker,
     WorkQueue,
@@ -113,7 +113,6 @@ from repro.netlist import (
 from repro.spcf import (
     compare_algorithms,
     spcf_nodebased,
-    spcf_parallel,
     spcf_pathbased,
     spcf_shortpath,
 )
@@ -147,7 +146,7 @@ def _load_circuit(spec: str, library: Library, validate: bool = True) -> Circuit
 def _nonneg_int(text: str) -> int:
     """argparse type for worker/job counts: ``0`` = inline, ``< 0`` rejected.
 
-    Validating here keeps a bad ``--jobs -1`` an argument error (usage +
+    Validating here keeps a bad ``--workers -1`` an argument error (usage +
     exit 2) instead of a failure deep inside pool startup.
     """
     try:
@@ -200,9 +199,9 @@ def cmd_spcf(args: argparse.Namespace) -> int:
     library = builtin_library(args.library)
     circuit = _load_circuit(args.circuit, library)
     if args.algorithm == "all":
-        if args.jobs is not None or args.precert:
-            raise ExecError(
-                "--jobs/--precert do not apply to --algorithm all "
+        if args.precert:
+            raise SpcfError(
+                "--precert does not apply to --algorithm all "
                 "(the comparison times each serial algorithm)"
             )
         row = compare_algorithms(circuit, threshold=args.threshold)
@@ -219,38 +218,19 @@ def cmd_spcf(args: argparse.Namespace) -> int:
         from repro.analysis.precert import precertify
 
         certificates = precertify(circuit, threshold=args.threshold)
-    if args.jobs is not None:
-        if args.algorithm != "short":
-            raise ExecError(
-                "--jobs parallelizes the short-path algorithm; "
-                f"use --algorithm short, not {args.algorithm!r}"
-            )
-        result = spcf_parallel(
-            circuit,
-            threshold=args.threshold,
-            certificates=certificates,
-            jobs=args.jobs,
-        )
-        print(f"jobs      : {args.jobs} "
-              f"({'inline' if args.jobs == 0 else 'process pool'})")
-    else:
-        algo = {
-            "short": spcf_shortpath,
-            "path": spcf_pathbased,
-            "node": spcf_nodebased,
-        }[args.algorithm]
-        result = algo(
-            circuit, threshold=args.threshold, certificates=certificates
-        )
+    algo = {
+        "short": spcf_shortpath,
+        "path": spcf_pathbased,
+        "node": spcf_nodebased,
+    }[args.algorithm]
+    result = algo(circuit, threshold=args.threshold, certificates=certificates)
     print(f"algorithm : {result.algorithm}")
     print(f"target    : {result.target}")
     for y, count in sorted(result.counts_by_output().items()):
         print(f"  {y:16s} {_fmt_count(count):>14s} critical patterns")
-    for y, reason in sorted(result.incomplete.items()):
-        print(f"  {y:16s} {'INCOMPLETE':>14s} {reason}")
     print(f"union     : {_fmt_count(result.count()):>14s} "
           f"({result.runtime_seconds:.3f}s)")
-    return 0 if result.is_complete else 1
+    return 0
 
 
 def cmd_mask(args: argparse.Namespace) -> int:
@@ -788,14 +768,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--algorithm", default="short", choices=("short", "path", "node", "all")
     )
     p.add_argument("--threshold", type=float, default=0.9)
-    p.add_argument(
-        "--jobs",
-        type=_nonneg_int,
-        default=None,
-        metavar="N",
-        help="fan per-output SPCF across N worker processes "
-        "(0 = inline through the executor; default: serial)",
-    )
     p.add_argument(
         "--precert",
         action="store_true",

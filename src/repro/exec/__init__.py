@@ -6,17 +6,16 @@ into reusable pieces:
 * :class:`Task` / :class:`TaskResult` — content-addressed units of work,
 * :class:`RetryPolicy` / :class:`BreakerPolicy` — composable resilience
   policy objects,
-* :class:`Executor` backends — ``inline`` (calling thread), ``thread``
-  (in-process pool), ``process`` (persistent worker subprocesses with
-  timeouts, crash isolation, and sabotage drills), and ``queue`` (a
-  shared-directory work queue served by elastic, multi-host
-  ``repro worker`` processes with atomic-rename claims, heartbeat-renewed
-  leases, work stealing, and first-write-wins result dedup),
+* :class:`Executor` backends — ``inline`` (calling thread), ``process``
+  (persistent worker subprocesses with timeouts, crash isolation, and
+  sabotage drills), and ``queue`` (a shared-directory work queue served
+  by elastic, multi-host ``repro worker`` processes with atomic-rename
+  claims, heartbeat-renewed leases, work stealing, and first-write-wins
+  result dedup),
 * the task-kind registry mapping kind strings to runner functions on both
   sides of the process boundary.
 
-The campaign runner and the parallel SPCF driver are both thin clients of
-this package.
+The campaign runner is a thin client of this package.
 """
 
 from repro.exec.executors import (
@@ -27,7 +26,6 @@ from repro.exec.executors import (
     ProcessPoolExecutor,
     ResultFn,
     TaskAttemptError,
-    ThreadExecutor,
     available_backends,
     default_worker_count,
     make_executor,
@@ -64,7 +62,6 @@ __all__ = [
     "BreakerPolicy",
     "Executor",
     "InlineExecutor",
-    "ThreadExecutor",
     "ProcessPoolExecutor",
     "QueueExecutor",
     "QueuePolicy",

@@ -11,7 +11,6 @@ one *attempt* runs:
 backend    attempt runs in       isolation  timeout  sabotage drills
 ========== ===================== ========== ======== =================
 inline     the calling thread    none       no       no
-thread     a dispatch thread     none       no       no
 process    a persistent worker   full       yes      yes
            subprocess
 queue      any elastic worker    full +     yes      yes
@@ -22,13 +21,15 @@ The queue backend (:class:`~repro.exec.queue_executor.QueueExecutor`)
 lives in its own module: it replaces the in-process retry loop with the
 shared-directory lease/steal protocol of :mod:`repro.exec.queuedir`.
 
-The process backend generalizes the campaign's single-shot JSON-over-stdio
-worker into a **persistent pool**: each dispatch thread owns one
+The process backend is a **persistent pool**: each dispatch thread owns one
 ``python -m repro.exec.worker`` subprocess and feeds it request lines,
 so interpreter startup is paid once per worker, not once per task, and
-worker-side caches survive across tasks.  A worker that crashes, hangs
-past ``task_timeout``, or is sabotaged is killed and respawned; the
-failure costs one attempt, never the run.
+worker-side caches survive across tasks.  A fresh worker announces a
+``ready`` line once its imports are done; start-up is bounded by
+:data:`SPAWN_TIMEOUT`, and a task's ``task_timeout`` clock starts only
+after ``ready``.  A worker that fails to start, crashes, hangs past
+``task_timeout``, or is sabotaged is killed and respawned; the failure
+costs one attempt, never the run.
 
 Worker telemetry (spans + metric deltas) is ingested/merged into the
 parent's registry here, at attempt completion — consumers receive the raw
@@ -57,7 +58,7 @@ from repro.errors import ExecError
 from repro.exec import _obs
 from repro.exec.policy import BreakerPolicy, RetryPolicy
 from repro.exec.registry import resolve
-from repro.exec.protocol import DETERMINISTIC_ERRORS, EXEC_SCHEMA
+from repro.exec.protocol import DETERMINISTIC_ERRORS, EXEC_SCHEMA, READY
 from repro.exec.task import Task, TaskResult
 
 #: Event callback: ``events(event, task, message, info)`` with events
@@ -72,7 +73,7 @@ ResultFn = Callable[[TaskResult], None]
 
 def available_backends() -> tuple[str, ...]:
     """Names of the executor backends this build offers."""
-    return ("inline", "thread", "process", "queue")
+    return ("inline", "process", "queue")
 
 
 def default_worker_count() -> int:
@@ -81,7 +82,7 @@ def default_worker_count() -> int:
 
 
 def validated_jobs(jobs: int) -> int:
-    """Eager validation of a ``--jobs``/worker count.
+    """Eager validation of a worker count.
 
     Rejects negatives up front (instead of failing deep inside pool
     startup); ``0`` uniformly selects the inline backend.
@@ -240,16 +241,6 @@ class Executor:
         self, slot: int, task: Task, attempt: int
     ) -> tuple[Any, dict | None]:
         raise NotImplementedError
-
-    def _run_inline_attempt(self, task: Task) -> Any:
-        """Shared inline/thread attempt: resolve and call the runner."""
-        runner = resolve(task.kind)
-        try:
-            return runner(dict(task.payload))
-        except DETERMINISTIC_ERRORS as exc:
-            raise TaskAttemptError(
-                f"{type(exc).__name__}: {exc}", retryable=False
-            ) from exc
 
     # ------------------------------------------------------------- the loop
 
@@ -417,7 +408,7 @@ class Executor:
 class InlineExecutor(Executor):
     """Run tasks in the calling thread: no isolation, no timeout, fastest.
 
-    The uniform meaning of ``workers=0``/``--jobs 0`` everywhere.
+    The uniform meaning of ``workers=0`` everywhere.
     """
 
     backend = "inline"
@@ -425,33 +416,13 @@ class InlineExecutor(Executor):
     def _attempt(
         self, slot: int, task: Task, attempt: int
     ) -> tuple[Any, dict | None]:
-        return self._run_inline_attempt(task), None
-
-
-class ThreadExecutor(Executor):
-    """Run tasks on a small thread pool (in-process, GIL-bound).
-
-    Useful for I/O-heavy runners and for exercising the dispatch machinery
-    without subprocess cost; CPU-bound BDD work should use the process
-    backend.
-    """
-
-    backend = "thread"
-
-    def __init__(self, workers: int = 2, **kwargs: Any):
-        super().__init__(**kwargs)
-        if workers < 1:
-            raise ExecError(f"thread executor needs workers >= 1, got {workers}")
-        self.workers = workers
-
-    @property
-    def parallelism(self) -> int:
-        return self.workers
-
-    def _attempt(
-        self, slot: int, task: Task, attempt: int
-    ) -> tuple[Any, dict | None]:
-        return self._run_inline_attempt(task), None
+        runner = resolve(task.kind)
+        try:
+            return runner(dict(task.payload)), None
+        except DETERMINISTIC_ERRORS as exc:
+            raise TaskAttemptError(
+                f"{type(exc).__name__}: {exc}", retryable=False
+            ) from exc
 
 
 def _child_env() -> dict[str, str]:
@@ -470,8 +441,18 @@ def _child_env() -> dict[str, str]:
     return env
 
 
+#: Seconds a fresh worker may take to start (interpreter launch plus
+#: imports) before its ``ready`` line; missing it costs one attempt.
+SPAWN_TIMEOUT = 60.0
+
+
 class _WorkerHandle:
-    """One persistent worker subprocess with line-based request/response."""
+    """One persistent worker subprocess with line-based request/response.
+
+    Construction returns only once the worker has said ``ready``; a worker
+    that dies first or misses :data:`SPAWN_TIMEOUT` is killed and the
+    constructor raises :class:`OSError`, like a failed ``Popen``.
+    """
 
     def __init__(self) -> None:
         self.proc = subprocess.Popen(
@@ -488,6 +469,26 @@ class _WorkerHandle:
             name=f"exec-stderr-{self.proc.pid}",
         )
         self._drain.start()
+        self._await_ready(SPAWN_TIMEOUT)
+
+    def _await_ready(self, timeout: float) -> None:
+        try:
+            line = self.read_line(timeout)
+        except TimeoutError:
+            self.kill()
+            raise TimeoutError(
+                f"worker not ready after {timeout:g}s"
+            ) from None
+        try:
+            ready = line is not None and json.loads(line) == READY
+        except ValueError:
+            ready = False
+        if not ready:
+            rc = self.kill()
+            raise OSError(
+                "worker start-up produced no ready line" if line is not None
+                else self.death_message(rc) + " before ready"
+            )
 
     def _drain_stderr(self) -> None:
         stream = self.proc.stderr
@@ -510,6 +511,11 @@ class _WorkerHandle:
             if line.strip():
                 return line.strip()
         return ""
+
+    def death_message(self, rc: int) -> str:
+        cause = f"killed by signal {-rc}" if rc < 0 else f"exited {rc}"
+        tail = self.stderr_tail()
+        return f"worker {cause}" + (f" ({tail})" if tail else "")
 
     def send(self, request: dict) -> None:
         self.send_line(json.dumps(request) + "\n")
@@ -664,10 +670,10 @@ class ProcessPoolExecutor(Executor):
         try:
             handle = _WorkerHandle()
         except OSError as exc:
-            # Spawning itself failed (exec error, fd/memory exhaustion).
-            # Costs one attempt like any environmental failure — with the
-            # backoff above between attempts — instead of killing the
-            # dispatch thread.
+            # Spawning itself failed (exec error, fd/memory exhaustion, or
+            # no ready line within SPAWN_TIMEOUT).  Costs one attempt like
+            # any environmental failure — with the backoff above between
+            # attempts — instead of killing the dispatch thread.
             self._respawns[slot] += 1
             if _obs.METER.enabled:
                 _obs.RESPAWNS.add(
@@ -702,14 +708,14 @@ class ProcessPoolExecutor(Executor):
             "corr": task.fingerprint(),
         })
         # Splice the task's cached payload encoding into the request line:
-        # large payloads (circuit documents) are then serialized once per
-        # task instead of once per attempt.
+        # the payload is then serialized once per task instead of once per
+        # attempt.
         line = f'{envelope[:-1]},"payload":{task.payload_json}}}\n'
         try:
             handle.send_line(line)
         except (BrokenPipeError, OSError):
             rc = self._discard_worker(slot)
-            raise TaskAttemptError(self._death_message(rc, handle)) from None
+            raise TaskAttemptError(handle.death_message(rc)) from None
         try:
             line = handle.read_line(self.task_timeout)
         except TimeoutError:
@@ -719,7 +725,7 @@ class ProcessPoolExecutor(Executor):
             ) from None
         if line is None:
             rc = self._discard_worker(slot)
-            raise TaskAttemptError(self._death_message(rc, handle)) from None
+            raise TaskAttemptError(handle.death_message(rc)) from None
         try:
             payload = json.loads(line)
         except ValueError:
@@ -745,12 +751,6 @@ class ProcessPoolExecutor(Executor):
         worker_obs = worker_obs if isinstance(worker_obs, dict) else None
         self._ingest_worker_obs(task, worker_obs)
         return payload["result"], worker_obs
-
-    @staticmethod
-    def _death_message(rc: int, handle: _WorkerHandle) -> str:
-        cause = f"killed by signal {-rc}" if rc < 0 else f"exited {rc}"
-        tail = handle.stderr_tail()
-        return f"worker {cause}" + (f" ({tail})" if tail else "")
 
     def close(self) -> None:
         if self._closed:
@@ -790,8 +790,6 @@ def make_executor(
         backend = "inline" if workers == 0 else "process"
     if backend == "inline":
         return InlineExecutor(**kwargs)
-    if backend == "thread":
-        return ThreadExecutor(workers=max(workers, 1), **kwargs)
     if backend == "process":
         return ProcessPoolExecutor(workers=max(workers, 1), **kwargs)
     if backend == "queue":
@@ -818,7 +816,6 @@ __all__ = [
     "ExecReport",
     "Executor",
     "InlineExecutor",
-    "ThreadExecutor",
     "ProcessPoolExecutor",
     "TaskAttemptError",
     "available_backends",

@@ -18,6 +18,9 @@ from repro.errors import ReproError
 #: Protocol version of the request/response documents.
 EXEC_SCHEMA = 1
 
+#: The first line a persistent worker writes, once its imports are done.
+READY = {"schema": EXEC_SCHEMA, "ready": True}
+
 #: Sabotage directives the drill understands.
 SABOTAGE_MODES = ("kill", "hang", "exit")
 
@@ -47,6 +50,7 @@ def apply_sabotage(directive: dict | None, attempt: int) -> None:
 
 __all__ = [
     "EXEC_SCHEMA",
+    "READY",
     "SABOTAGE_MODES",
     "DETERMINISTIC_ERRORS",
     "apply_sabotage",

@@ -9,8 +9,8 @@ imports only what its tasks need.
 A kind may also name a *worker-span factory*: a function that, given the
 payload and attempt number, returns ``(category, name, attrs)`` for the
 span the subprocess worker opens around the runner call (e.g. the
-campaign's ``campaign.worker_shard``).  Inline and thread backends do not
-open worker spans — there is no worker process whose timeline needs
+campaign's ``campaign.worker_shard``).  The inline backend opens no
+worker spans — there is no worker process whose timeline needs
 stitching.
 """
 
@@ -44,10 +44,6 @@ _KINDS: dict[str, TaskKind] = {
     "campaign.shard": TaskKind(
         runner="repro.campaign.worker:run_shard_task",
         span="repro.campaign.worker:shard_task_span",
-    ),
-    "spcf.output": TaskKind(
-        runner="repro.spcf.parallel:run_output_task",
-        span="repro.spcf.parallel:output_task_span",
     ),
 }
 

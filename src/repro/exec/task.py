@@ -79,9 +79,8 @@ class Task:
     def payload_json(self) -> str:
         """The payload's wire encoding, computed once per task.
 
-        Large payloads (a circuit document per SPCF output task) are sent
-        on every attempt; caching the encoding turns the per-attempt cost
-        into a string splice.
+        The payload is sent on every attempt; caching the encoding turns
+        the per-attempt cost into a string splice.
         """
         try:
             return json.dumps(dict(self.payload))

@@ -1,14 +1,16 @@
 """Persistent generic task worker: line-delimited JSON over stdio.
 
-Runs as ``python -m repro.exec.worker``.  Unlike the original single-shot
-campaign worker (one process per shard attempt), this worker stays alive
-and serves one request line after another — the process pool reuses it
-across tasks, amortizing interpreter/import startup (~0.3 s) and letting
-per-process caches (compiled circuits, masked designs, SPCF contexts)
-survive between tasks of the same run.
+Runs as ``python -m repro.exec.worker``.  The worker stays alive and
+serves one request line after another — the process pool reuses it
+across tasks, amortizing interpreter/import startup and letting
+per-process caches (compiled circuits, masked designs) survive between
+tasks of the same run.
 
-Protocol, one JSON document per line in each direction::
+Protocol, one JSON document per line in each direction.  The worker
+speaks first, once its imports are done, so the parent can bound
+start-up separately from each task::
 
+    <- {"schema": 1, "ready": true}
     -> {"schema": 1, "kind": "...", "payload": {...}, "key": ...,
         "attempt": 0, "sabotage": null, "corr": "<fingerprint>"?}
     <- {"schema": 1, "key": ..., "result": ..., "wall_seconds": ...,
@@ -45,6 +47,7 @@ from repro.errors import ExecError
 from repro.exec.protocol import (
     DETERMINISTIC_ERRORS,
     EXEC_SCHEMA,
+    READY,
     SABOTAGE_MODES,
     apply_sabotage,
 )
@@ -139,6 +142,7 @@ def serve(stdin: IO[str], stdout: IO[str]) -> int:
 
 
 def main() -> int:
+    _respond(sys.stdout, READY)
     return serve(sys.stdin, sys.stdout)
 
 

@@ -3,11 +3,6 @@
 from repro.netlist.blif import read_blif, write_blif, write_blif_file
 from repro.netlist.cell import Cell
 from repro.netlist.circuit import Circuit, Gate
-from repro.netlist.codec import (
-    CIRCUIT_SCHEMA,
-    circuit_from_json,
-    circuit_to_json,
-)
 from repro.netlist.library import (
     Library,
     builtin_library,
@@ -31,7 +26,4 @@ __all__ = [
     "read_verilog",
     "write_verilog",
     "write_verilog_file",
-    "CIRCUIT_SCHEMA",
-    "circuit_to_json",
-    "circuit_from_json",
 ]

@@ -33,7 +33,6 @@ from repro.sim.logicsim import random_patterns
 from repro.sim.timingsim import stabilization_times
 from repro.spcf import nodebased, pathbased, shortpath
 from repro.spcf.multiroot import compute_multi as spcf_multiroot
-from repro.spcf.parallel import spcf_parallel, spcf_parallel_multi
 from repro.spcf.result import SpcfResult
 from repro.spcf.timedfunc import SpcfContext, expr_to_function
 
@@ -156,8 +155,6 @@ __all__ = [
     "spcf_pathbased",
     "spcf_nodebased",
     "spcf_multiroot",
-    "spcf_parallel",
-    "spcf_parallel_multi",
     "AlgorithmComparison",
     "compare_algorithms",
     "SampledAccuracy",

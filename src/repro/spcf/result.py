@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
 from repro.bdd.manager import Function, disjunction
 from repro.spcf.timedfunc import SpcfContext
 
@@ -25,12 +26,6 @@ class SpcfResult:
     #: share one context across several targets; each per-target result
     #: records its own ``Delta_y`` here instead of the context's default.
     target_override: int | None = None
-    #: Critical outputs whose SPCF could *not* be computed, mapped to the
-    #: failure message.  Serial algorithms always leave this empty; the
-    #: parallel driver (:func:`repro.spcf.parallel.spcf_parallel`) records
-    #: outputs whose worker was quarantined (wedged, crashed, BDD blowup)
-    #: here instead of failing the whole run.
-    incomplete: dict[str, str] = field(default_factory=dict)
 
     @property
     def union(self) -> Function:
@@ -58,8 +53,3 @@ class SpcfResult:
 
     def is_empty(self) -> bool:
         return all(f.is_false for f in self.per_output.values())
-
-    @property
-    def is_complete(self) -> bool:
-        """True iff every critical output's SPCF was actually computed."""
-        return not self.incomplete

@@ -67,17 +67,16 @@ class TestRunnerConfigValidation:
             RunnerConfig(backend="queue")
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(CampaignError, match="backend"):
-            RunnerConfig(backend="smoke-signals")
+        for unknown in ("thread", "smoke-signals"):
+            with pytest.raises(CampaignError, match="backend"):
+                RunnerConfig(backend=unknown)
 
     def test_bad_lease_ttl_rejected(self):
         with pytest.raises(CampaignError, match="lease_ttl"):
             RunnerConfig(backend="queue", queue_dir="/q", lease_ttl=0.0)
 
     def test_backend_catalog(self):
-        assert CAMPAIGN_BACKENDS == (
-            "auto", "inline", "thread", "process", "queue"
-        )
+        assert CAMPAIGN_BACKENDS == ("auto", "inline", "process", "queue")
 
 
 class TestQueueBackendCampaign:

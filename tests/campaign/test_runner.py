@@ -1,7 +1,8 @@
 """The resilient runner: isolation, retries, quarantine, crash recovery.
 
-Subprocess tests use the real worker (`python -m repro.campaign.worker`)
-and real SIGKILLs via the runner's sabotage drills, but keep specs tiny so
+Subprocess tests use the real persistent worker pool
+(`python -m repro.exec.worker` running `campaign.shard` tasks) and real
+SIGKILLs via the runner's sabotage drills, but keep specs tiny so
 each worker attempt is cheap.
 """
 

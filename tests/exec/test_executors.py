@@ -19,7 +19,6 @@ from repro.exec import (
     ProcessPoolExecutor,
     RetryPolicy,
     Task,
-    ThreadExecutor,
     available_backends,
     default_worker_count,
     make_executor,
@@ -44,7 +43,7 @@ def pool():
 
 class TestConfiguration:
     def test_available_backends(self):
-        assert available_backends() == ("inline", "thread", "process", "queue")
+        assert available_backends() == ("inline", "process", "queue")
 
     def test_default_worker_count_positive_and_capped(self):
         assert 1 <= default_worker_count() <= 8
@@ -63,8 +62,6 @@ class TestConfiguration:
         with make_executor(2) as ex:
             assert isinstance(ex, ProcessPoolExecutor)
             assert ex.workers == 2
-        with make_executor(1, backend="thread") as ex:
-            assert isinstance(ex, ThreadExecutor)
         with make_executor(
             1, backend="queue", queue_dir=tmp_path / "q"
         ) as ex:
@@ -75,12 +72,11 @@ class TestConfiguration:
             make_executor(-2)
         with pytest.raises(ExecError, match="queue_dir"):
             make_executor(1, backend="queue")
-        with pytest.raises(ExecError, match="backend"):
-            make_executor(1, backend="carrier-pigeon")
+        for unknown in ("thread", "carrier-pigeon"):
+            with pytest.raises(ExecError, match="unknown executor backend"):
+                make_executor(1, backend=unknown)
 
     def test_bad_worker_counts(self):
-        with pytest.raises(ExecError):
-            ThreadExecutor(workers=0)
         with pytest.raises(ExecError):
             ProcessPoolExecutor(workers=0)
 
@@ -158,21 +154,6 @@ class TestInline:
         assert report.results["tail"].ok
 
 
-class TestThread:
-    def test_parallel_dispatch_in_process(self):
-        with ThreadExecutor(workers=3) as ex:
-            report = ex.run([probe(i, value=i, sleep=0.05) for i in range(6)])
-        assert report.complete
-        assert all(
-            r.value["pid"] == os.getpid() for r in report.results.values()
-        )
-
-    def test_sabotage_rejected(self):
-        with ThreadExecutor(workers=2) as ex:
-            with pytest.raises(ExecError, match="process backend"):
-                ex.run([probe("a")], sabotage={"a": {"mode": "hang"}})
-
-
 class TestProcessPool:
     def test_worker_reused_across_tasks(self, pool):
         report = pool.run([probe(i, value=i) for i in range(4)])
@@ -215,6 +196,16 @@ class TestProcessPool:
         result = report.results["a"]
         assert result.ok and result.attempts == 2
         assert "timed out after 0.5s" in result.failures[0]
+
+    def test_task_timeout_excludes_worker_startup(self):
+        # The clock starts at the worker's ready line: a budget far below
+        # interpreter start-up still fits a task that itself is instant.
+        with ProcessPoolExecutor(
+            workers=1, retry=NO_BACKOFF, task_timeout=0.05
+        ) as ex:
+            report = ex.run([probe("a", value=1)])
+        result = report.results["a"]
+        assert result.ok and result.attempts == 1
 
     def test_unrelenting_failure_quarantines(self, pool):
         pool.retry = RetryPolicy(
@@ -288,6 +279,21 @@ class TestRespawnBackoff:
         assert respawns["backend=process,outcome=spawn-failed"] == (
             NO_BACKOFF.max_retries + 1
         )
+
+    def test_worker_missing_ready_bound_is_a_spawn_failure(self, monkeypatch):
+        obs.configure(enabled=True)
+        monkeypatch.setattr("repro.exec.executors.SPAWN_TIMEOUT", 1e-6)
+        retry = RetryPolicy(max_retries=1, backoff_base=0.0, backoff_jitter=0.0)
+        with ProcessPoolExecutor(workers=1, retry=retry) as ex:
+            report = ex.run([probe("a", value=1)])
+            assert ex._handles == [None]
+        result = report.results["a"]
+        assert result.outcome == "quarantined"
+        assert result.attempts == 2
+        assert "worker spawn failed: worker not ready after" in result.error
+        snap = obs.metrics_snapshot()
+        respawns = snap["metrics"]["repro_exec_respawns_total"]["series"]
+        assert respawns["backend=process,outcome=spawn-failed"] == 2
 
     def test_respawn_after_kill_is_metered_and_resets(self, pool):
         obs.configure(enabled=True)

@@ -116,7 +116,6 @@ class TestRegistry:
         kinds = registered_kinds()
         assert "exec.probe" in kinds
         assert "campaign.shard" in kinds
-        assert "spcf.output" in kinds
         assert list(kinds) == sorted(kinds)
 
     def test_resolve_runner_and_span(self):

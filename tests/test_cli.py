@@ -366,22 +366,9 @@ def test_exit_codes_documented_in_help(capsys):
 def test_info_reports_executor_backends(capsys):
     code, out, _ = run(capsys, "info")
     assert code == 0
-    assert "executor backends : inline, thread, process" in out
+    assert "executor backends : inline, process, queue" in out
     assert "cpu count" in out
     assert "default workers" in out
-
-
-def test_spcf_jobs_inline_matches_serial(capsys):
-    code, serial_out, _ = run(capsys, "spcf", "comparator2")
-    assert code == 0
-    code, out, _ = run(capsys, "spcf", "comparator2", "--jobs", "0")
-    assert code == 0
-    assert "jobs      : 0 (inline)" in out
-    assert "(proposed, parallel)" in out
-    # Same per-output pattern counts as the serial run.
-    def counts(text):
-        return [l for l in text.splitlines() if "critical patterns" in l]
-    assert counts(out) == counts(serial_out)
 
 
 def test_spcf_precert_keeps_counts(capsys):
@@ -393,28 +380,18 @@ def test_spcf_precert_keeps_counts(capsys):
     assert counts(certified) == counts(plain)
 
 
-def test_spcf_negative_jobs_is_a_usage_error(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        run(capsys, "spcf", "comparator2", "--jobs", "-1")
-    assert excinfo.value.code == 2
-    err = capsys.readouterr().err
-    assert "must be >= 0 (0 = inline)" in err
-
-
 def test_campaign_negative_workers_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         run(capsys, "campaign", "run", "x.jsonl", "--workers", "-3")
     assert excinfo.value.code == 2
+    assert "must be >= 0 (0 = inline)" in capsys.readouterr().err
 
 
-def test_spcf_jobs_requires_short_algorithm(capsys):
+def test_spcf_precert_rejected_for_algorithm_all(capsys):
     code, _, err = run(capsys, "spcf", "comparator2",
-                       "--algorithm", "node", "--jobs", "0")
+                       "--algorithm", "all", "--precert")
     assert code == 2
-    assert "--algorithm short" in err
-    code, _, err = run(capsys, "spcf", "comparator2",
-                       "--algorithm", "all", "--jobs", "0")
-    assert code == 2
+    assert "--precert does not apply to --algorithm all" in err
 
 
 def test_paths_text_report(capsys):
