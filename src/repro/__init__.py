@@ -23,89 +23,68 @@ Quickstart::
     circuit = make_benchmark("C432")
     result = mask_circuit(circuit, lsi10k_like_library())
     print(result.report.area_overhead_percent, result.report.slack_percent)
+
+Every name in ``__all__`` is imported from its subpackage on first access
+(PEP 562), so importing one subpackage — a pool worker imports
+``repro.exec.worker`` — does not load the others.
 """
 
-from repro.analysis import (
-    LintConfig,
-    LintReport,
-    VerifyMaskReport,
-    lint_circuit,
-    lint_suite,
-    verify_mask,
-)
-from repro.benchcircuits import circuit_by_name, make_benchmark
-from repro.campaign import (
-    CampaignSpec,
-    RunnerConfig,
-    plan_campaign,
-    resume_campaign,
-    run_campaign,
-)
-from repro.core import (
-    MaskedDesign,
-    MaskingResult,
-    OverheadReport,
-    PipelineResult,
-    build_masked_design,
-    mask_circuit,
-    overhead_report,
-    synthesize_masking,
-    verify_masking,
-)
-from repro.netlist import (
-    Circuit,
-    Library,
-    lsi10k_like_library,
-    read_blif,
-    unit_library,
-    write_blif,
-)
-from repro.spcf import (
-    SpcfContext,
-    compare_algorithms,
-    spcf_nodebased,
-    spcf_pathbased,
-    spcf_shortpath,
-)
-from repro.sta import analyze, enumerate_speed_paths
+from __future__ import annotations
+
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    "Circuit",
-    "Library",
-    "unit_library",
-    "lsi10k_like_library",
-    "read_blif",
-    "write_blif",
-    "analyze",
-    "enumerate_speed_paths",
-    "SpcfContext",
-    "spcf_shortpath",
-    "spcf_pathbased",
-    "spcf_nodebased",
-    "compare_algorithms",
-    "synthesize_masking",
-    "mask_circuit",
-    "build_masked_design",
-    "verify_masking",
-    "overhead_report",
-    "MaskingResult",
-    "MaskedDesign",
-    "OverheadReport",
-    "PipelineResult",
-    "make_benchmark",
-    "circuit_by_name",
-    "LintConfig",
-    "LintReport",
-    "VerifyMaskReport",
-    "lint_circuit",
-    "lint_suite",
-    "verify_mask",
-    "CampaignSpec",
-    "RunnerConfig",
-    "plan_campaign",
-    "run_campaign",
-    "resume_campaign",
-]
+#: The subpackage each public name is imported from.
+_SOURCES = {
+    "Circuit": "repro.netlist",
+    "Library": "repro.netlist",
+    "unit_library": "repro.netlist",
+    "lsi10k_like_library": "repro.netlist",
+    "read_blif": "repro.netlist",
+    "write_blif": "repro.netlist",
+    "analyze": "repro.sta",
+    "enumerate_speed_paths": "repro.sta",
+    "SpcfContext": "repro.spcf",
+    "spcf_shortpath": "repro.spcf",
+    "spcf_pathbased": "repro.spcf",
+    "spcf_nodebased": "repro.spcf",
+    "compare_algorithms": "repro.spcf",
+    "synthesize_masking": "repro.core",
+    "mask_circuit": "repro.core",
+    "build_masked_design": "repro.core",
+    "verify_masking": "repro.core",
+    "overhead_report": "repro.core",
+    "MaskingResult": "repro.core",
+    "MaskedDesign": "repro.core",
+    "OverheadReport": "repro.core",
+    "PipelineResult": "repro.core",
+    "make_benchmark": "repro.benchcircuits",
+    "circuit_by_name": "repro.benchcircuits",
+    "LintConfig": "repro.analysis",
+    "LintReport": "repro.analysis",
+    "VerifyMaskReport": "repro.analysis",
+    "lint_circuit": "repro.analysis",
+    "lint_suite": "repro.analysis",
+    "verify_mask": "repro.analysis",
+    "CampaignSpec": "repro.campaign",
+    "RunnerConfig": "repro.campaign",
+    "plan_campaign": "repro.campaign",
+    "run_campaign": "repro.campaign",
+    "resume_campaign": "repro.campaign",
+}
+
+__all__ = ["__version__", *_SOURCES]
+
+
+def __getattr__(name: str):
+    source = _SOURCES.get(name)
+    if source is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(source), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

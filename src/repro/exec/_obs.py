@@ -9,6 +9,8 @@ names and labels:
   task, including retries and backoff sleeps,
 * ``repro_exec_respawns_total{backend, outcome}`` — worker subprocess
   respawns (``respawned``) and failed spawn attempts (``spawn-failed``),
+* ``repro_exec_spawn_seconds{backend}`` — wall seconds from starting a
+  pool worker subprocess to its ``ready`` line (successful spawns only),
 * ``repro_exec_telemetry_drops_total{backend}`` — worker telemetry
   payloads dropped because they would not ingest (the task result is
   kept; only the spans/metrics are lost),
@@ -44,6 +46,11 @@ RESPAWNS = METER.counter(
     "repro_exec_respawns_total",
     "worker subprocess respawns (labels: backend, outcome = "
     "respawned / spawn-failed)",
+)
+SPAWN_SECONDS = METER.histogram(
+    "repro_exec_spawn_seconds",
+    "wall seconds from starting a worker subprocess to its ready line "
+    "(label: backend)",
 )
 TELEMETRY_DROPS = METER.counter(
     "repro_exec_telemetry_drops_total",

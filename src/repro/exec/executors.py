@@ -451,10 +451,12 @@ class _WorkerHandle:
 
     Construction returns only once the worker has said ``ready``; a worker
     that dies first or misses :data:`SPAWN_TIMEOUT` is killed and the
-    constructor raises :class:`OSError`, like a failed ``Popen``.
+    constructor raises :class:`OSError`, like a failed ``Popen``.  The time
+    from ``Popen`` to ``ready`` is metered per ``backend``.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, backend: str) -> None:
+        started = time.perf_counter()
         self.proc = subprocess.Popen(
             [sys.executable, "-m", "repro.exec.worker"],
             stdin=subprocess.PIPE,
@@ -470,6 +472,10 @@ class _WorkerHandle:
         )
         self._drain.start()
         self._await_ready(SPAWN_TIMEOUT)
+        if _obs.METER.enabled:
+            _obs.SPAWN_SECONDS.observe(
+                time.perf_counter() - started, backend=backend
+            )
 
     def _await_ready(self, timeout: float) -> None:
         try:
@@ -668,7 +674,7 @@ class ProcessPoolExecutor(Executor):
             if delay > 0:
                 time.sleep(delay)
         try:
-            handle = _WorkerHandle()
+            handle = _WorkerHandle(self.backend)
         except OSError as exc:
             # Spawning itself failed (exec error, fd/memory exhaustion, or
             # no ready line within SPAWN_TIMEOUT).  Costs one attempt like

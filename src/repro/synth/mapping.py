@@ -8,6 +8,20 @@ scratch circuit; its ``(delay, area)`` equals scratch STA exactly.  Node
 output nets keep their technology-independent names so that mapped circuits
 stay comparable with their specs (equivalence is property-tested in
 ``tests/synth``).
+
+Trial costs are memoized per library on the cover's *shape*: its cubes, the
+polarity, the order of its fanin names and which side of
+:data:`TRIAL_PREFIX` each name sorts on.  A lowering reads names in only two
+places — :meth:`~repro.synth.decompose.NetBuilder.emit` sorts the fanins of
+symmetric cells by name (and pin delays are asymmetric, e.g. AND2 8/9 in
+``lsi10k_like``), and :meth:`~repro.synth.decompose.NetBuilder.fresh` skips
+a generated name that equals an input name.  Every fresh name starts with
+:data:`TRIAL_PREFIX`, so when no input name does (and no two are equal):
+names never clash; an input orders against *every* fresh name as it orders
+against the prefix itself; and fresh names order among themselves by
+structure alone.  Two such covers with the same shape therefore lower to
+the same gates up to renaming and cost the same.  Any other cover is keyed
+on itself.
 """
 
 from __future__ import annotations
@@ -18,9 +32,29 @@ from repro.netlist.library import Library
 from repro.synth.decompose import CostBuilder, GateBuilder, decompose_cover
 from repro.synth.technet import TechNetwork
 
-#: Entries a library's memo may hold before it is emptied.  Comfortably
-#: above the distinct covers priced while masking the whole Table-2 suite.
+#: Entries a library's memo may hold before it is emptied.  Far above the
+#: distinct cover shapes priced while masking the whole Table-2 suite: its
+#: 20 circuits on one ``lsi10k_like`` library leave 4,627 entries.
 _TRIAL_MEMO_LIMIT = 1 << 16
+
+#: Prefix of the trial builder's fresh net names, which the memo key relies
+#: on (see the module docstring).
+TRIAL_PREFIX = "t_"
+
+
+def _trial_key(cover: Cover, inverted: bool) -> tuple:
+    """Memo key of a trial lowering: the cover's shape, or the cover itself."""
+    names = cover.names
+    if len(set(names)) != len(names) or any(
+        n.startswith(TRIAL_PREFIX) for n in names
+    ):
+        return (cover, inverted)
+    return (
+        cover.cubes,
+        inverted,
+        tuple(sorted(range(len(names)), key=names.__getitem__)),
+        tuple(n < TRIAL_PREFIX for n in names),
+    )
 
 
 def trial_cost(
@@ -34,14 +68,19 @@ def trial_cost(
     same :func:`decompose_cover` as real mapping, but into a
     :class:`CostBuilder`, so the result equals the output arrival from STA
     and the area of a scratch circuit built from it, without building one.
-    Results are memoized on ``library`` (emptied when a cell is added).
+    Results are memoized on ``library`` (emptied when a cell is added),
+    keyed on ``(cubes, inverted, argsort(names), names < TRIAL_PREFIX)``, so
+    covers that differ only by an order- and side-preserving renaming share
+    one entry; covers with a name starting with :data:`TRIAL_PREFIX`, or
+    with a repeated name, are keyed on ``(cover, inverted)``.  The module
+    docstring gives the argument why this is exact.
     """
     memo = library.memo
-    key = (cover, inverted)
+    key = _trial_key(cover, inverted)
     cached = memo.get(key)
     if cached is not None:
         return cached
-    builder = CostBuilder(cover.names, library, "t_")
+    builder = CostBuilder(cover.names, library, TRIAL_PREFIX)
     net = decompose_cover(cover, builder, invert_output=inverted)
     result = (builder.arrival.get(net, 0), builder.area)
     if len(memo) >= _TRIAL_MEMO_LIMIT:

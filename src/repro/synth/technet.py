@@ -19,12 +19,13 @@ from typing import Iterable, Mapping, Sequence
 from repro.bdd.manager import BddManager, Function
 from repro.errors import SynthesisError
 from repro.logic.cover import Cover
+from repro.logic.cube import Cube
 from repro.logic.truth import (
     cover_table,
+    cube_from_masks,
     full_mask,
     function_table,
     isop,
-    masks_cover,
     support,
 )
 
@@ -68,22 +69,22 @@ class TechNode:
             )
 
 
-def node_from_table(
-    name: str,
-    order: Sequence[str],
-    table: int,
-    fanins: Iterable[str] | None = None,
-    max_cubes: int | None = None,
-) -> TechNode | None:
-    """Build a node from a truth table over the variables ``order``.
+#: A node up to the names of its fanins: the positions of the table order it
+#: keeps (the function's support, ascending), and its on- and off-set cubes
+#: over those positions.
+NodeShape = tuple[tuple[int, ...], tuple[Cube, ...], tuple[Cube, ...]]
 
-    The on/off covers are the truth-table ISOPs of the function and its
-    complement, splitting in ``order``.  They are written over ``fanins``
-    (default: ``order``), keeping only the fanins in the function's support,
-    so collapsed nodes keep a minimal support set.  With ``max_cubes``,
-    returns ``None`` as soon as either cover has more cubes than that.
+
+def node_shape(table: int, width: int, max_cubes: int | None = None) -> NodeShape | None:
+    """The shape of the node computing ``table`` over ``width`` variables.
+
+    The covers are the truth-table ISOPs of the function and its complement,
+    splitting in position order, written over the support only, so
+    collapsed nodes keep a minimal support set.  With ``max_cubes``, returns
+    ``None`` as soon as either cover has more cubes than that.  A shape
+    depends on ``(width, table, max_cubes)`` alone, so callers that build
+    many nodes may memoize it on that (or any finer) key.
     """
-    width = len(order)
     on = isop(table, table, width)
     if max_cubes is not None and len(on) > max_cubes:
         return None
@@ -91,15 +92,19 @@ def node_from_table(
     off = isop(off_table, off_table, width)
     if max_cubes is not None and len(off) > max_cubes:
         return None
-    position = {order[p]: p for p in support(table, width)}
-    kept = tuple(f for f in (order if fanins is None else fanins) if f in position)
-    positions = [position[f] for f in kept]
-    return TechNode(
-        name,
+    kept = support(table, width)
+    return (
         kept,
-        masks_cover(order, on, positions),
-        masks_cover(order, off, positions),
+        tuple(cube_from_masks(pos, neg, kept) for pos, neg in on),
+        tuple(cube_from_masks(pos, neg, kept) for pos, neg in off),
     )
+
+
+def shaped_node(name: str, order: Sequence[str], shape: NodeShape) -> TechNode:
+    """The node of ``shape``, with table position ``p`` named ``order[p]``."""
+    kept, on, off = shape
+    fanins = tuple(order[p] for p in kept)
+    return TechNode(name, fanins, Cover(fanins, on), Cover(fanins, off))
 
 
 def node_from_function(
@@ -108,14 +113,21 @@ def node_from_function(
     """Build a node from a BDD over variables named like the fanins.
 
     The function is turned into a truth table over the fanins in manager
-    order, so the covers equal the BDD ISOPs of ``fn`` and ``~fn``; fanins
-    not in the function's support are dropped.
+    order, so the covers equal the BDD ISOPs of ``fn`` and ``~fn``; they are
+    written over the fanins in their given order, dropping those not in the
+    function's support.
     """
     fanins = tuple(fanins)
     mgr = fn.manager
     known = set(mgr.var_names)
     order = sorted((f for f in fanins if f in known), key=mgr.level_of)
-    return node_from_table(name, order, function_table(fn, order), fanins)
+    node = shaped_node(name, order, node_shape(function_table(fn, order), len(order)))
+    kept = tuple(f for f in fanins if f in node.fanins)
+    on, off = (
+        Cover.from_cube_dicts(kept, [c.to_dict(cover.names) for c in cover.cubes])
+        for cover in (node.on_cover, node.off_cover)
+    )
+    return TechNode(name, kept, on, off)
 
 
 class TechNetwork:

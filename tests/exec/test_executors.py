@@ -24,6 +24,7 @@ from repro.exec import (
     make_executor,
     validated_jobs,
 )
+from repro.exec.executors import SPAWN_TIMEOUT
 
 NO_BACKOFF = RetryPolicy(max_retries=3, backoff_base=0.0, backoff_jitter=0.0)
 
@@ -336,6 +337,27 @@ class TestObservability:
         snap = obs.metrics_snapshot()
         tasks = self._series(snap, "repro_exec_tasks_total")
         assert tasks["backend=process,outcome=done"] == 1
+
+    def test_process_pool_meters_spawn_to_ready(self):
+        obs.configure(enabled=True)
+        with ProcessPoolExecutor(
+            workers=1, retry=NO_BACKOFF, task_timeout=60.0
+        ) as ex:
+            report = ex.run(
+                [probe("a", value=1)],
+                sabotage={"a": {"mode": "kill", "attempts": 1}},
+            )
+        assert report.results["a"].ok
+        spawn = self._series(obs.metrics_snapshot(), "repro_exec_spawn_seconds")
+        # The first worker and its respawn after the kill.
+        assert list(spawn) == ["backend=process"]
+        assert spawn["backend=process"]["count"] == 2
+        assert 0 < spawn["backend=process"]["sum"] < 2 * SPAWN_TIMEOUT
+
+    def test_spawn_is_not_metered_when_disabled(self, pool):
+        report = pool.run([probe("a", value=1)])
+        assert report.results["a"].ok
+        assert "repro_exec_spawn_seconds" not in obs.metrics_snapshot()["metrics"]
 
     def test_malformed_worker_telemetry_never_fails_the_task(self):
         obs.configure(enabled=True)

@@ -1,5 +1,7 @@
 """Tests for technet extraction and the collapse/eliminate pass."""
 
+import importlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,8 +12,9 @@ from repro.errors import SynthesisError
 from repro.logic import Cover
 from repro.netlist import lsi10k_like_library, unit_library
 from repro.sim import exhaustive_patterns, simulate
-from repro.synth import TechNode, circuit_to_technet, collapse
+from repro.synth import TechNetwork, TechNode, circuit_to_technet, collapse
 from repro.synth.collapse import _merge_candidate
+from repro.synth.technet import node_shape
 from tests.conftest import random_dag_circuit
 
 
@@ -121,12 +124,17 @@ def node_reader_pair(draw):
     return node, reader, support
 
 
+#: Candidate shapes shared by every example below, as collapse shares them
+#: across one call: a shape must not depend on the names it was built for.
+SHARED_SHAPES: dict = {}
+
+
 @given(node_reader_pair(), st.integers(min_value=1, max_value=8))
 @settings(max_examples=200, deadline=None)
 def test_merge_candidate_equals_bdd_route(pair, cube_cap):
     node, reader, support = pair
     expected = bdd_route_candidate(node, reader, support)
-    got = _merge_candidate(node, reader, support, cube_cap)
+    got = _merge_candidate(node, reader, support, cube_cap, SHARED_SHAPES)
     if max(expected.on_cover.num_cubes, expected.off_cover.num_cubes) > cube_cap:
         assert got is None
     else:
@@ -157,8 +165,85 @@ def test_merge_candidate_at_largest_support():
     assert len(support) == 16
     expected = bdd_route_candidate(node, reader, support)
     assert len(expected.fanins) == 16
-    got = _merge_candidate(node, reader, support, max_cubes=10_000)
+    got = _merge_candidate(node, reader, support, 10_000, {})
     assert got == expected
+
+
+def renamed_node(node, rename):
+    """``node`` with every name mapped through ``rename``."""
+    fanins = tuple(rename(f) for f in node.fanins)
+    return TechNode(
+        rename(node.name),
+        fanins,
+        Cover(fanins, node.on_cover.cubes),
+        Cover(fanins, node.off_cover.cubes),
+    )
+
+
+def renamed(network, prefix):
+    """A copy of ``network`` with every net name prefixed (order-preserving)."""
+
+    def add(name):
+        return prefix + name
+
+    out = TechNetwork(add(network.name), map(add, network.inputs), map(add, network.outputs))
+    for node in network.nodes.values():
+        out.add_node(renamed_node(node, add))
+    return out
+
+
+def joined(*networks):
+    """One network holding disjoint networks side by side."""
+    out = TechNetwork(
+        "joined",
+        [n for net in networks for n in net.inputs],
+        [n for net in networks for n in net.outputs],
+    )
+    for net in networks:
+        for node in net.nodes.values():
+            out.add_node(node)
+    return out
+
+
+@pytest.mark.parametrize("library", [None, lsi10k_like_library()], ids=["plain", "costed"])
+def test_identical_cones_collapse_to_renamed_nodes(library, monkeypatch):
+    """Two copies of one cone over different names: the second copy reuses
+    the first one's shapes, and its nodes are renamings of the first's."""
+    cone = circuit_to_technet(comparator_nbit(3))
+    built = []
+
+    def counting_shape(*args, **kwargs):
+        built.append(args)
+        return node_shape(*args, **kwargs)
+
+    # ``repro.synth.collapse`` the attribute is the function, not the module.
+    monkeypatch.setattr(
+        importlib.import_module("repro.synth.collapse"), "node_shape", counting_shape
+    )
+    collapse(renamed(cone, "p_"), max_support=8, library=library)
+    one_copy = len(built)
+    network = joined(renamed(cone, "p_"), renamed(cone, "q_"))
+    col = collapse(network, max_support=8, library=library)
+    assert len(built) - one_copy == one_copy
+    assert col.num_nodes < network.num_nodes
+    assert col.num_nodes % 2 == 0
+    for name, node in col.nodes.items():
+        if name.startswith("p_"):
+            twin = renamed_node(node, lambda n: "q_" + n[2:])
+            assert twin == col.node(twin.name)
+
+
+@pytest.mark.parametrize("library", [None, lsi10k_like_library()], ids=["plain", "costed"])
+def test_collapse_of_joined_cones_equals_collapse_of_each(library):
+    cones = [
+        renamed(circuit_to_technet(random_dag_circuit(seed, 6, 18, num_outputs=3)), f"c{seed}_")
+        for seed in range(3)
+    ]
+    whole = collapse(joined(*cones), max_support=6, library=library)
+    alone = {}
+    for cone in cones:
+        alone.update(collapse(cone, max_support=6, library=library).nodes)
+    assert dict(whole.nodes) == alone
 
 
 def test_duplicate_fanin_gate_lifts_cleanly():

@@ -13,10 +13,15 @@ from repro.synth import GateBuilder, decompose_cover, mapping
 from repro.synth.mapping import trial_cost
 
 LIBRARIES = ("unit", "lsi10k_like")
-#: Input names, including ones the builder's fresh ``t_<tag>_<n>`` names
-#: would otherwise take.
+#: One library per name for the whole module, so the trial-cost memo carries
+#: across hypothesis examples and a key that conflates two covers of
+#: different cost shows up as a mismatch against scratch STA.
+SHARED = {name: builtin_library(name) for name in LIBRARIES}
+#: Input names: ones the builder's fresh ``t_<tag>_<n>`` names would
+#: otherwise take, and ones sorting on either side of that prefix.
 NAME_POOL = (
     "a", "b", "c", "d", "e", "f", "g", "h",
+    "t", "T", "s_z", "u", "_a", "t0", "tz",
     "t_and_0", "t_inv_1", "t_or_2", "t_const_0", "t_inv_0",
 )
 
@@ -32,8 +37,7 @@ def scratch_sta_cost(cover, library, inverted):
 
 
 def assert_matches_reference(cover, library_name, inverted):
-    library = builtin_library(library_name)
-    got = trial_cost(cover, library, inverted=inverted)
+    got = trial_cost(cover, SHARED[library_name], inverted=inverted)
     want = scratch_sta_cost(cover, builtin_library(library_name), inverted)
     assert got == want, (cover, library_name, inverted)
     assert got[0] == want[0] and got[1] == want[1]  # exact, float area included
@@ -59,6 +63,24 @@ def covers(draw):
 )
 def test_trial_cost_equals_scratch_sta(cover, library_name, inverted):
     assert_matches_reference(cover, library_name, inverted)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    cover=covers(),
+    data=st.data(),
+    library_name=st.sampled_from(LIBRARIES),
+    inverted=st.booleans(),
+)
+def test_renamed_covers_equal_scratch_sta(cover, data, library_name, inverted):
+    """A cover and renamings of it: any key they wrongly share is caught."""
+    width = len(cover.names)
+    renaming = st.lists(
+        st.sampled_from(NAME_POOL), min_size=width, max_size=width, unique=True
+    )
+    assert_matches_reference(cover, library_name, inverted)
+    for names in data.draw(st.lists(renaming, min_size=1, max_size=4)):
+        assert_matches_reference(Cover(tuple(names), cover.cubes), library_name, inverted)
 
 
 @pytest.mark.parametrize("library_name", LIBRARIES)
@@ -155,3 +177,66 @@ def test_memo_is_bounded(monkeypatch):
         cover = Cover.from_strings(names, rows)
         assert trial_cost(cover, library) == scratch_sta_cost(cover, library, False)
         assert len(library.memo) <= 3
+
+
+def test_order_and_side_preserving_renaming_shares_one_entry():
+    library = lsi10k_like_library()
+    rows = ["10-", "-01", "0-1"]
+    first = Cover.from_strings(("a", "b", "c"), rows)
+    # Same order, all still below the prefix: "T" < "_a" < "s_z" < "t_".
+    renamed = Cover.from_strings(("T", "_a", "s_z"), rows)
+    cost = trial_cost(first, library, inverted=True)
+    assert len(library.memo) == 1
+    assert trial_cost(renamed, library, inverted=True) == cost
+    assert len(library.memo) == 1
+    assert cost == scratch_sta_cost(renamed, library, True)
+
+
+def test_renaming_that_swaps_pin_order_gets_its_own_entry():
+    """``a & ~b`` is one AND2 of an input and an inverter, whose pins (8/9
+    on ``lsi10k_like``) follow name order: ``a`` sorts before the fresh
+    inverter net ``t_inv_0``, ``u`` after it."""
+    library = lsi10k_like_library()
+    below = Cover.from_strings(("a", "b"), ["10"])
+    above = Cover.from_strings(("u", "b"), ["10"])
+    low_cost = trial_cost(below, library)
+    high_cost = trial_cost(above, library)
+    assert len(library.memo) == 2
+    assert low_cost == scratch_sta_cost(below, library, False)
+    assert high_cost == scratch_sta_cost(above, library, False)
+    assert low_cost != high_cost
+
+
+def test_name_with_the_prefix_takes_the_exact_key():
+    library = lsi10k_like_library()
+    cover = Cover.from_strings((mapping.TRIAL_PREFIX + "x", "b"), ["10"])
+    cost = trial_cost(cover, library)
+    assert list(library.memo) == [(cover, False)]
+    assert cost == scratch_sta_cost(cover, library, False)
+    renamed = Cover.from_strings((mapping.TRIAL_PREFIX + "y", "b"), ["10"])
+    trial_cost(renamed, library)
+    assert len(library.memo) == 2
+
+
+def test_repeated_name_takes_the_exact_key():
+    """``~a | ~a`` shares one inverter where ``~a | ~b`` needs two: the same
+    cubes and name order, but not the same cost."""
+    library = lsi10k_like_library()
+    distinct = Cover.from_strings(("a", "b"), ["0-", "-0"])
+    repeated = Cover.from_strings(("a", "a"), ["0-", "-0"])
+    trial_cost(distinct, library)
+    cost = trial_cost(repeated, library)
+    assert (repeated, False) in library.memo
+    assert cost == trial_cost(repeated, lsi10k_like_library())  # a fresh memo
+    assert cost != trial_cost(distinct, library)
+
+
+def test_prefixed_name_does_not_share_a_side_key():
+    """``t_and_9`` sorts after the prefix like ``u``, but before the fresh
+    inverter net ``t_inv_0``: the two covers take different AND2 pins."""
+    library = lsi10k_like_library()
+    plain = Cover.from_strings(("u", "b"), ["10"])
+    prefixed = Cover.from_strings(("t_and_9", "b"), ["10"])
+    assert trial_cost(plain, library) == scratch_sta_cost(plain, library, False)
+    assert trial_cost(prefixed, library) == scratch_sta_cost(prefixed, library, False)
+    assert trial_cost(plain, library) != trial_cost(prefixed, library)

@@ -116,3 +116,34 @@ def test_public_api_exports():
     assert repro.__version__ == "1.0.0"
     rep = analyze(circuit_by_name("comparator2"))
     assert rep.critical_delay == 7
+
+
+_LAZY_PROBE = """
+import sys
+import repro.exec.worker
+assert "repro.analysis" not in sys.modules, sorted(sys.modules)
+import repro
+from repro import mask_circuit
+assert mask_circuit.__module__.startswith("repro.core")
+assert set(repro.__all__) <= set(dir(repro))
+assert not hasattr(repro, "no_such_name")
+"""
+
+
+def test_package_exports_load_on_first_use():
+    """A pool worker's import leaves the analysis plane unloaded, while
+    every export still resolves (checked in a fresh interpreter)."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run(
+        [sys.executable, "-c", _LAZY_PROBE], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
