@@ -12,13 +12,12 @@ the literals is the cube.  The returned cover ``cover`` satisfies
 ``L <= OR(cover) <= U`` and no cube can be dropped without uncovering ``L``.
 
 This BDD version serves functions over the primary inputs, which are too
-wide for a truth table: the care-set image of a node
-(:func:`repro.core.careset.local_image_cover`, quantified out of the global
-SPCF manager) and path-sensitization conditions.  Node-local functions of
-at most 16 inputs — lifted cells, collapse candidates, the masking bounds
-— use the truth-table ISOP of
-:mod:`repro.logic.truth`, which emits the same cubes in the same order
-under the same variable order.
+wide for a truth table: the path-sensitization conditions of
+:mod:`repro.analysis.paths`.  Node-local functions of at most 16 inputs —
+lifted cells, collapse candidates, the care-set image and the masking
+bounds — are truth tables and use the ISOP of :mod:`repro.logic.truth`,
+which emits the same cubes in the same order under the same variable
+order.
 """
 
 from __future__ import annotations

@@ -8,9 +8,14 @@ per-cube in primary-input space: the image of a local cube under the fanin
 functions is just the conjunction of the fanins' global functions with the
 cube's polarities — no quantification needed.
 
-:func:`cube_image` implements that per-cube image; :func:`local_care_sets`
-computes the explicit local-space ``s0``/``s1`` sets (used by the golden
-comparator test and for diagnostics) with auxiliary manager variables.
+:func:`cube_image` implements that per-cube image.  Masking also needs the
+whole image of ``Sigma_y`` at a collapsed node's fanins, the bound of its
+prediction and indicator ISOPs: :func:`local_image_cover` computes it as a
+truth table over the fanins by output splitting (Coudert–Madre range
+computation) on the fanins' global functions, with no auxiliary variable
+and no quantification.  :func:`local_care_sets` splits that image into the
+``s0``/``s1`` tables (used by the golden comparator test and for
+diagnostics).
 """
 
 from __future__ import annotations
@@ -21,10 +26,8 @@ from repro.bdd.manager import BddManager, Function, conjunction
 from repro.errors import MaskingError
 from repro.logic.cover import Cover
 from repro.logic.cube import Cube
+from repro.logic.truth import cover_table
 from repro.synth.technet import TechNode
-
-#: Prefix for auxiliary local-space variables registered after the PIs.
-AUX_PREFIX = "@aux:"
 
 
 def cube_image(
@@ -62,47 +65,51 @@ def local_image_cover(
     node: TechNode,
     sigma: Function,
     functions: Mapping[str, Function],
-    mgr: BddManager,
-) -> Cover:
-    """Exact image of ``sigma`` at the node's local input space, as a cover.
+) -> int:
+    """Exact image of ``sigma`` at the node's local input space, as a table.
 
-    Builds the transition relation ``sigma AND (aux_i == F_i)`` in ``mgr``,
-    quantifies out the primary inputs, and re-expresses the result as an
-    irredundant SOP over the node's fanin names.
+    Returns the truth table over ``node.fanins`` (bit ``m`` set iff some
+    pattern in ``sigma`` drives the fanins to minterm ``m``; see
+    :mod:`repro.logic.truth` for the bit order).  Computed by output
+    splitting: ``g`` starts as ``sigma`` and is split on each fanin function
+    ``F_i`` in order into ``g AND F_i`` (bit ``i`` of ``m`` set) and
+    ``g AND NOT F_i``; an empty branch is pruned, and every branch that
+    survives all fanins is one reachable minterm.  Only conjunctions of
+    existing functions are built: the manager gains no variable.
     """
-    from repro.bdd.isop import isop_function
-
-    aux = {f: mgr.ensure_var(AUX_PREFIX + f) for f in node.fanins}
-    relation = sigma
-    for f in node.fanins:
-        relation = relation & aux[f].iff(functions[f])
-    pis = relation.support() - {AUX_PREFIX + f for f in node.fanins}
-    reachable = relation.exists(pis)
-    cubes = [
-        {name[len(AUX_PREFIX):]: value for name, value in cube.items()}
-        for cube in isop_function(reachable)
-    ]
-    return Cover.from_cube_dicts(node.fanins, cubes)
+    try:
+        fns = [functions[net] for net in node.fanins]
+    except KeyError as exc:
+        raise MaskingError(f"no global function for net {exc.args[0]!r}") from None
+    width = len(fns)
+    table = 0
+    stack = [(sigma, 0, 0)] if not sigma.is_false else []
+    while stack:
+        g, i, m = stack.pop()
+        if i == width:
+            table |= 1 << m
+            continue
+        hi = g & fns[i]
+        if hi.is_false:
+            stack.append((g, i + 1, m))
+        elif hi == g:
+            stack.append((g, i + 1, m | 1 << i))
+        else:
+            stack.append((g & ~fns[i], i + 1, m))
+            stack.append((hi, i + 1, m | 1 << i))
+    return table
 
 
 def local_care_sets(
     node: TechNode,
     sigma: Function,
     functions: Mapping[str, Function],
-    mgr: BddManager,
-) -> tuple[Function, Function]:
+) -> tuple[int, int]:
     """Explicit local-space care sets ``(s0, s1)`` of ``node`` under ``sigma``.
 
-    Returns functions over auxiliary variables ``@aux:<fanin>`` (registered
-    on demand at the bottom of the variable order): the sets of local input
-    minterms reachable from ``sigma`` for which the node evaluates to 0 / 1.
+    Truth tables over ``node.fanins``: the local input minterms reachable
+    from ``sigma`` for which the node evaluates to 0 / 1.
     """
-    aux = {f: mgr.ensure_var(AUX_PREFIX + f) for f in node.fanins}
-    relation = sigma
-    for f in node.fanins:
-        relation = relation & aux[f].iff(functions[f])
-    pis = [n for n in mgr.var_names if not n.startswith(AUX_PREFIX)]
-    reachable = relation.exists(pis)
-    rename = {f: AUX_PREFIX + f for f in node.fanins}
-    on_local = node.on_cover.to_function(mgr, rename=rename)
-    return reachable & ~on_local, reachable & on_local
+    image = local_image_cover(node, sigma, functions)
+    on = cover_table(node.on_cover, node.fanins)
+    return image & ~on, image & on

@@ -35,12 +35,13 @@ from repro.logic.cube import Cube
 from repro.logic.truth import cover_table, full_mask, isop_cover
 from repro.netlist.circuit import Circuit
 from repro.netlist.library import Library
+from repro.core.careset import local_image_cover
 from repro.core.cubeselect import SelectionResult, select_cubes
 from repro.spcf.result import SpcfResult
 from repro.spcf.shortpath import compute_spcf
 from repro.spcf.timedfunc import SpcfContext
 from repro.synth.collapse import circuit_to_technet, collapse
-from repro.synth.mapping import map_technet, remove_buffers
+from repro.synth.mapping import map_technet, remove_buffers, trial_cost
 from repro.synth.technet import TechNetwork, TechNode
 
 if TYPE_CHECKING:  # pragma: no cover - keeps analysis optional at runtime
@@ -78,6 +79,8 @@ class NodeMasking:
     prediction_source: str
     indicator_cover: Cover
     indicator_trivial: bool
+    care_image: int
+    """Truth table over ``fanins`` of the local minterms reachable from Sigma."""
 
     @property
     def cubes_dropped(self) -> int:
@@ -244,6 +247,7 @@ class MaskingSynthesizer:
                             cubes_dropped=masking.cubes_dropped,
                             prediction=masking.prediction_source,
                             trivial=masking.indicator_trivial,
+                            image_minterms=masking.care_image.bit_count(),
                         )
 
             with _TRACER.span("synth.map"):
@@ -282,9 +286,6 @@ class MaskingSynthesizer:
         sigma: Function,
         tfns: Mapping[str, Function],
     ) -> NodeMasking:
-        from repro.core.careset import local_image_cover
-        from repro.synth.mapping import trial_cost
-
         ctx = self.context
         n_pis = len(self.circuit.inputs)
         on_pool, off_pool = self._selection_pools(node)
@@ -297,7 +298,7 @@ class MaskingSynthesizer:
         width = len(names)
         full = full_mask(width)
         f_local = cover_table(node.on_cover)
-        image = cover_table(local_image_cover(node, sigma, tfns, ctx.manager))
+        image = local_image_cover(node, sigma, tfns)
         s1 = image & f_local
         s0 = image & ~f_local
 
@@ -354,6 +355,7 @@ class MaskingSynthesizer:
             prediction_source=source,
             indicator_cover=indicator,
             indicator_trivial=trivial,
+            care_image=image,
         )
 
     def _selection_pools(self, node: TechNode) -> tuple[Cover, Cover]:

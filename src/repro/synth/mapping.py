@@ -10,18 +10,21 @@ stay comparable with their specs (equivalence is property-tested in
 ``tests/synth``).
 
 Trial costs are memoized per library on the cover's *shape*: its cubes, the
-polarity, the order of its fanin names and which side of
-:data:`TRIAL_PREFIX` each name sorts on.  A lowering reads names in only two
-places — :meth:`~repro.synth.decompose.NetBuilder.emit` sorts the fanins of
+polarity and which side of :data:`TRIAL_PREFIX` each fanin name sorts on.
+A lowering reads names in only two places —
+:meth:`~repro.synth.decompose.NetBuilder.emit` sorts the fanins of
 symmetric cells by name (and pin delays are asymmetric, e.g. AND2 8/9 in
 ``lsi10k_like``), and :meth:`~repro.synth.decompose.NetBuilder.fresh` skips
 a generated name that equals an input name.  Every fresh name starts with
 :data:`TRIAL_PREFIX`, so when no input name does (and no two are equal):
 names never clash; an input orders against *every* fresh name as it orders
 against the prefix itself; and fresh names order among themselves by
-structure alone.  Two such covers with the same shape therefore lower to
-the same gates up to renaming and cost the same.  Any other cover is keyed
-on itself.
+structure alone.  How two input names order among themselves does not
+matter either: the symmetric cells have two pins and every input arrives
+at 0, so a cell fed by two inputs has the same output arrival in either
+pin order, while the gates built and their sharing do not depend on names
+at all.  Two such covers with the same shape therefore lower to gates of
+the same cost.  Any other cover is keyed on itself.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from repro.synth.technet import TechNetwork
 
 #: Entries a library's memo may hold before it is emptied.  Far above the
 #: distinct cover shapes priced while masking the whole Table-2 suite: its
-#: 20 circuits on one ``lsi10k_like`` library leave 4,627 entries.
+#: 20 circuits on one ``lsi10k_like`` library leave 3,397 entries.
 _TRIAL_MEMO_LIMIT = 1 << 16
 
 #: Prefix of the trial builder's fresh net names, which the memo key relies
@@ -49,12 +52,7 @@ def _trial_key(cover: Cover, inverted: bool) -> tuple:
         n.startswith(TRIAL_PREFIX) for n in names
     ):
         return (cover, inverted)
-    return (
-        cover.cubes,
-        inverted,
-        tuple(sorted(range(len(names)), key=names.__getitem__)),
-        tuple(n < TRIAL_PREFIX for n in names),
-    )
+    return (cover.cubes, inverted, tuple(n < TRIAL_PREFIX for n in names))
 
 
 def trial_cost(
@@ -69,10 +67,10 @@ def trial_cost(
     :class:`CostBuilder`, so the result equals the output arrival from STA
     and the area of a scratch circuit built from it, without building one.
     Results are memoized on ``library`` (emptied when a cell is added),
-    keyed on ``(cubes, inverted, argsort(names), names < TRIAL_PREFIX)``, so
-    covers that differ only by an order- and side-preserving renaming share
-    one entry; covers with a name starting with :data:`TRIAL_PREFIX`, or
-    with a repeated name, are keyed on ``(cover, inverted)``.  The module
+    keyed on ``(cubes, inverted, names < TRIAL_PREFIX)``, so covers that
+    differ only by a side-preserving renaming (which may reorder the names)
+    share one entry; covers with a name starting with :data:`TRIAL_PREFIX`,
+    or with a repeated name, are keyed on ``(cover, inverted)``.  The module
     docstring gives the argument why this is exact.
     """
     memo = library.memo

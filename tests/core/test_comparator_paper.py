@@ -109,13 +109,30 @@ def test_masked_design_functionally_transparent(circuit):
 
 
 def test_local_care_sets_on_collapsed_node(circuit, context):
-    """local_care_sets must agree with the PI-space care sets for the
-    (single) collapsed node of the comparator."""
+    """local_care_sets on the (single) collapsed node of the comparator:
+    truth tables over its fanins, equal to the local images of the paper's
+    PI-space care sets s0 = Sigma & ~y and s1 = Sigma & y."""
     masking = synthesize_masking(circuit, LIB, max_support=8)
     mgr = masking.context.manager
     node = masking.technet.node("y")
     sigma = masking.spcf.per_output["y"]
     tfns = masking.technet.global_functions(mgr)
-    s0, s1 = local_care_sets(node, sigma, tfns, mgr)
-    assert (s0 & s1).is_false
-    assert not s0.is_false and not s1.is_false
+    s0, s1 = local_care_sets(node, sigma, tfns)
+    assert s0 & s1 == 0
+    assert s0 and s1
+    # Minterm bit i is the value of fanin i.
+    assert node.fanins == ("t4", "a1", "b1")
+    assert minterms(s0) == {0b000, 0b100, 0b110}
+    assert minterms(s1) == {0b001, 0b111}
+    reached = (set(), set())
+    for pattern in exhaustive_patterns(circuit.inputs):
+        if sigma.evaluate(pattern):
+            local = sum(
+                tfns[f].evaluate(pattern) << i for i, f in enumerate(node.fanins)
+            )
+            reached[simulate(circuit, pattern)["y"]].add(local)
+    assert reached == (minterms(s0), minterms(s1))
+
+
+def minterms(table: int) -> set[int]:
+    return {m for m in range(table.bit_length()) if table >> m & 1}

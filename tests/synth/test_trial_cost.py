@@ -192,6 +192,21 @@ def test_order_and_side_preserving_renaming_shares_one_entry():
     assert cost == scratch_sta_cost(renamed, library, True)
 
 
+def test_order_swapping_side_preserving_renaming_shares_one_entry():
+    """Inputs all arrive at 0: two of them swapping pins changes no cost."""
+    library = lsi10k_like_library()
+    rows = ["10-", "-01", "0-1", "11-"]
+    first = Cover.from_strings(("a", "b", "u"), rows)
+    # The first two names now sort in the opposite order; "v", like "u",
+    # sorts after the prefix.
+    swapped = Cover.from_strings(("b", "a", "v"), rows)
+    for inverted in (False, True):
+        cost = trial_cost(first, library, inverted=inverted)
+        assert trial_cost(swapped, library, inverted=inverted) == cost
+        assert cost == scratch_sta_cost(swapped, library, inverted)
+    assert len(library.memo) == 2
+
+
 def test_renaming_that_swaps_pin_order_gets_its_own_entry():
     """``a & ~b`` is one AND2 of an input and an inverter, whose pins (8/9
     on ``lsi10k_like``) follow name order: ``a`` sorts before the fresh
