@@ -2,14 +2,14 @@
 # warning-level lint sweep over every builtin benchmark, the
 # abstract-interpretation sweep, the campaign crash/quarantine/resume
 # and distributed (lease steal / fleet loss) smoke drills, the pipeline
-# benchmark's own tests, and the Table-2 identity gate.
+# benchmark's own tests, and the Table-2 and campaign identity gates.
 
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: check test lint-circuits analyze paths campaign-smoke distributed-smoke verify-mask lint-py typecheck bench bench-obs bench-spcf perfbench-test table2-identity
+.PHONY: check test lint-circuits analyze paths campaign-smoke distributed-smoke verify-mask lint-py typecheck bench bench-obs bench-spcf perfbench-test table2-identity campaign-identity
 
-check: test lint-circuits analyze paths campaign-smoke distributed-smoke bench-spcf perfbench-test table2-identity
+check: test lint-circuits analyze paths campaign-smoke distributed-smoke bench-spcf perfbench-test table2-identity campaign-identity
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
@@ -25,6 +25,13 @@ perfbench-test:
 # slack or coverage figure fails here and not only while benchmarking.
 table2-identity:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/check_table2.py
+
+# Campaign identity: run the pipeline benchmark's campaign at its recorded
+# seed and require the aggregate (without telemetry) to equal
+# perfbench/expected.json, so a change to shard execution that moves any
+# count fails here and not only while benchmarking.
+campaign-identity:
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/check_campaign.py
 
 lint-circuits:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro lint all --fail-on warning

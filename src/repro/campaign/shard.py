@@ -9,8 +9,15 @@ The measurement itself is the paper's question asked under adversity: with
 a failure mode injected into the design, how many output errors reach the
 sampling flops *before* the masking mux patch, and how many survive *after*
 it?  Timing modes (``delay``, ``aging``, ``clock``) sample two-vector
-waveforms at the clock edge; value modes (``seu``, ``stuck``) compare
+simulations at the clock edge; value modes (``seu``, ``stuck``) compare
 zero-delay evaluations against the fault-free reference.
+
+A shard is bit-parallel: bit ``k`` of every input word is vector ``k``,
+drawn from the shard's RNG in the same order a per-vector loop would draw
+it, so each circuit is evaluated once per shard (one
+:func:`~repro.sim.eventsim.sample_words` or
+:func:`~repro.sim.faults.eval_words_with_faults` pass) and every count is
+a popcount of ``sampled ^ good``.
 """
 
 from __future__ import annotations
@@ -22,13 +29,13 @@ from repro.benchcircuits import circuit_by_name
 from repro.campaign.spec import SCHEMA_VERSION, ShardSpec
 from repro.core.integrate import MaskedDesign, build_masked_design
 from repro.core.masking import synthesize_masking
-from repro.engine import CompiledCircuit, compile_circuit
+from repro.engine import CompiledCircuit, compile_circuit, pack_input_words
 from repro.errors import CampaignError, ReproError
 from repro.netlist import builtin_library
 from repro.netlist.circuit import Circuit
 from repro.sim.aging import aging_model, speed_path_gates
-from repro.sim.eventsim import two_vector_waveforms
-from repro.sim.faults import eval_with_faults
+from repro.sim.eventsim import sample_words
+from repro.sim.faults import eval_words_with_faults
 
 #: Per-process cache of synthesized masked designs; keyed by the shard
 #: fields that determine the synthesis.  Workers run one shard per process,
@@ -48,8 +55,31 @@ def _masked_design(shard: ShardSpec) -> tuple[Circuit, MaskedDesign]:
     return cached
 
 
-def _rng_pattern(rng: random.Random, inputs) -> dict[str, bool]:
-    return {net: bool(rng.getrandbits(1)) for net in inputs}
+def _draw_pattern(
+    rng: random.Random, inputs, words: dict[str, int], bit: int
+) -> None:
+    """Draw one random pattern (one RNG bit per input, in order) into ``bit``."""
+    for net in inputs:
+        if rng.getrandbits(1):
+            words[net] |= bit
+
+
+def _zero_delay(
+    circuit: Circuit,
+    nets,
+    words: Mapping[str, int],
+    width: int,
+    flips: Mapping[str, int] | None = None,
+    stuck: Mapping[str, bool] | None = None,
+) -> list[int]:
+    """Zero-delay words of ``nets``, with optional injected net faults."""
+    compiled = compile_circuit(circuit)
+    values = eval_words_with_faults(
+        compiled, pack_input_words(compiled, words, width), width,
+        flips=flips, stuck=stuck,
+    )
+    index = compiled.net_index
+    return [values[index[net]] for net in nets]
 
 
 def _delay_scales(
@@ -99,28 +129,21 @@ def _timing_shard(
         compiled_masked.with_delay_scales(scales) if scales else compiled_masked
     )
 
-    counts = {y: {"unmasked": 0, "masked": 0, "recovered": 0, "introduced": 0}
-              for y in circuit.outputs}
-    pairs_unmasked = pairs_masked = 0
-    for _ in range(shard.vectors):
-        v1 = _rng_pattern(rng, circuit.inputs)
-        v2 = _rng_pattern(rng, circuit.inputs)
-        reference = compiled_good.eval_pattern(v2)
-        ref = dict(zip(compiled_good.net_names, reference))
-        waves = two_vector_waveforms(faulty, v1, v2)
-        masked_waves = two_vector_waveforms(faulty_masked, v1, v2)
-        any_un = any_mk = False
-        for y in circuit.outputs:
-            good = bool(ref[y])
-            unmasked_err = waves[y].value_at(clock) != good
-            masked_err = (
-                masked_waves[design.output_map[y]].value_at(masked_clock) != good
-            )
-            _tally(counts[y], unmasked_err, masked_err)
-            any_un = any_un or unmasked_err
-            any_mk = any_mk or masked_err
-        pairs_unmasked += any_un
-        pairs_masked += any_mk
+    width = shard.vectors
+    v1 = dict.fromkeys(circuit.inputs, 0)
+    v2 = dict.fromkeys(circuit.inputs, 0)
+    for k in range(width):
+        _draw_pattern(rng, circuit.inputs, v1, 1 << k)
+        _draw_pattern(rng, circuit.inputs, v2, 1 << k)
+    good = _zero_delay(circuit, circuit.outputs, v2, width)
+    sampled = sample_words(faulty, v1, v2, width, clock, circuit.outputs)
+    masked_sampled = sample_words(
+        faulty_masked, v1, v2, width, masked_clock,
+        [design.output_map[y] for y in circuit.outputs],
+    )
+    counts, pairs_unmasked, pairs_masked = _tally(
+        circuit.outputs, good, sampled, masked_sampled
+    )
     detail = {"clock": clock, "masked_clock": masked_clock,
               "scaled_gates": sorted(scales)}
     return counts, pairs_unmasked, pairs_masked, detail
@@ -142,41 +165,48 @@ def _value_shard(
         stuck = {rng.choice(gate_pool): bool(rng.getrandbits(1))}
     flips_per_vector = int(shard.mode.get("flips", 1)) if kind == "seu" else 0
 
-    compiled_good = compile_circuit(circuit)
-    counts = {y: {"unmasked": 0, "masked": 0, "recovered": 0, "introduced": 0}
-              for y in circuit.outputs}
-    pairs_unmasked = pairs_masked = 0
-    for _ in range(shard.vectors):
-        pattern = _rng_pattern(rng, circuit.inputs)
-        flips = (
-            rng.sample(gate_pool, min(flips_per_vector, len(gate_pool)))
-            if flips_per_vector
-            else ()
-        )
-        ref = dict(zip(compiled_good.net_names, compiled_good.eval_pattern(pattern)))
-        faulty = eval_with_faults(circuit, pattern, flips=flips, stuck=stuck)
-        faulty_masked = eval_with_faults(
-            design.circuit, pattern, flips=flips, stuck=stuck
-        )
-        any_un = any_mk = False
-        for y in circuit.outputs:
-            good = bool(ref[y])
-            unmasked_err = faulty[y] != good
-            masked_err = faulty_masked[design.output_map[y]] != good
-            _tally(counts[y], unmasked_err, masked_err)
-            any_un = any_un or unmasked_err
-            any_mk = any_mk or masked_err
-        pairs_unmasked += any_un
-        pairs_masked += any_mk
+    width = shard.vectors
+    pattern = dict.fromkeys(circuit.inputs, 0)
+    flips: dict[str, int] = {}
+    for k in range(width):
+        _draw_pattern(rng, circuit.inputs, pattern, 1 << k)
+        if flips_per_vector:
+            for net in rng.sample(gate_pool, min(flips_per_vector, len(gate_pool))):
+                flips[net] = flips.get(net, 0) | 1 << k
+    good = _zero_delay(circuit, circuit.outputs, pattern, width)
+    faulty = _zero_delay(circuit, circuit.outputs, pattern, width, flips, stuck)
+    faulty_masked = _zero_delay(
+        design.circuit, [design.output_map[y] for y in circuit.outputs],
+        pattern, width, flips, stuck,
+    )
+    counts, pairs_unmasked, pairs_masked = _tally(
+        circuit.outputs, good, faulty, faulty_masked
+    )
     detail = {"stuck": {n: int(v) for n, v in stuck.items()}} if stuck else {}
     return counts, pairs_unmasked, pairs_masked, detail
 
 
-def _tally(row: dict[str, int], unmasked_err: bool, masked_err: bool) -> None:
-    row["unmasked"] += unmasked_err
-    row["masked"] += masked_err
-    row["recovered"] += unmasked_err and not masked_err
-    row["introduced"] += masked_err and not unmasked_err
+def _tally(
+    outputs, good: list[int], unmasked: list[int], masked: list[int]
+) -> tuple[dict[str, dict[str, int]], int, int]:
+    """Per-output error counts and erroneous-pair counts, by popcount.
+
+    Bit ``k`` of ``sampled ^ good`` is an error in vector ``k``: recovered
+    errors are unmasked-only bits, introduced ones masked-only bits.
+    """
+    counts = {}
+    any_unmasked = any_masked = 0
+    for y, g, u, m in zip(outputs, good, unmasked, masked):
+        u_err, m_err = u ^ g, m ^ g
+        counts[y] = {
+            "unmasked": u_err.bit_count(),
+            "masked": m_err.bit_count(),
+            "recovered": (u_err & ~m_err).bit_count(),
+            "introduced": (m_err & ~u_err).bit_count(),
+        }
+        any_unmasked |= u_err
+        any_masked |= m_err
+    return counts, any_unmasked.bit_count(), any_masked.bit_count()
 
 
 def run_shard(shard: ShardSpec) -> dict:

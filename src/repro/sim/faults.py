@@ -13,7 +13,7 @@ the prediction/indicator outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.engine import CompiledCircuit, compile_circuit
 from repro.errors import SimulationError
@@ -83,6 +83,58 @@ def sample_many(
     return _generate()
 
 
+def eval_words_with_faults(
+    circuit: Circuit | CompiledCircuit,
+    input_words: Sequence[int],
+    width: int,
+    flips: Mapping[str, int] | None = None,
+    stuck: Mapping[str, bool] | None = None,
+) -> list[int]:
+    """Zero-delay evaluation of ``width`` packed patterns with net faults.
+
+    ``input_words`` are engine-ordered (``compiled.inputs``); bit ``k`` of
+    every word belongs to pattern ``k``.  ``flips[net]`` is the word of the
+    patterns in which ``net`` is upset: those bits are inverted *after* the
+    driver evaluates, and the upset propagates through the fanout cone.
+    ``stuck`` pins nets at a constant in every pattern.  A net that is both
+    flipped and stuck ends up at the inverted stuck value in the flipped
+    patterns — the flip is applied last, matching a particle strike on a
+    tied node.  Returns one word per net.
+    """
+    compiled = compile_circuit(circuit)
+    if width < 0:
+        raise SimulationError(f"pattern width {width} must be non-negative")
+    if len(input_words) != compiled.n_inputs:
+        raise SimulationError(
+            f"{len(input_words)} input words for {compiled.n_inputs} inputs"
+        )
+    mask = (1 << width) - 1
+    index = compiled.net_index
+
+    def _idx(net: str) -> int:
+        try:
+            return index[net]
+        except KeyError:
+            raise SimulationError(
+                f"cannot inject fault on unknown net {net!r}"
+            ) from None
+
+    pinned = {_idx(net): mask if value else 0 for net, value in (stuck or {}).items()}
+    upset = {_idx(net): word & mask for net, word in (flips or {}).items()}
+    faulted = pinned.keys() | upset.keys()
+
+    values = [word & mask for word in input_words] + [0] * compiled.n_gates
+    for i in faulted:
+        if i < compiled.n_inputs:
+            values[i] = pinned.get(i, values[i]) ^ upset.get(i, 0)
+    for func, out, fanins in compiled.plan:
+        value = func(mask, *[values[f] for f in fanins])
+        if out in faulted:
+            value = pinned.get(out, value) ^ upset.get(out, 0)
+        values[out] = value
+    return values
+
+
 def eval_with_faults(
     circuit: Circuit | CompiledCircuit,
     pattern: Mapping[str, bool],
@@ -97,43 +149,18 @@ def eval_with_faults(
     that is both flipped and stuck ends up at the inverted stuck value —
     the flip is applied last, matching a particle strike on a tied node.
 
-    The fault-injection campaign uses this for its SEU and stuck-at modes;
-    errors are deviations of the primary outputs from the fault-free run.
+    The one-pattern case of :func:`eval_words_with_faults`.
     """
     compiled = compile_circuit(circuit)
-    index = compiled.net_index
-    overrides: dict[int, tuple[bool, int]] = {}
-
-    def _idx(net: str) -> int:
+    bits = []
+    for net in compiled.inputs:
         try:
-            return index[net]
-        except KeyError:
-            raise SimulationError(
-                f"cannot inject fault on unknown net {net!r}"
-            ) from None
-
-    for net, value in (stuck or {}).items():
-        overrides[_idx(net)] = (True, 1 if value else 0)
-    for net in flips:
-        i = _idx(net)
-        pinned, value = overrides.get(i, (False, 0))
-        overrides[i] = (pinned, value ^ 1) if pinned else (False, 1)
-
-    def _apply(i: int, value: int) -> int:
-        pinned, override = overrides.get(i, (False, 0))
-        if pinned:
-            return override
-        # A bare flip entry stores the xor mask in ``override``.
-        return value ^ override if i in overrides else value
-
-    values = [0] * compiled.n_nets
-    for i, net in enumerate(compiled.inputs):
-        try:
-            values[i] = _apply(i, 1 if pattern[net] else 0)
+            bits.append(1 if pattern[net] else 0)
         except KeyError:
             raise SimulationError(f"pattern missing input {net!r}") from None
-    for func, out, fanins in compiled.plan:
-        values[out] = _apply(out, func(1, *[values[f] for f in fanins]))
+    values = eval_words_with_faults(
+        compiled, bits, 1, flips=dict.fromkeys(flips, 1), stuck=stuck
+    )
     return {net: bool(v) for net, v in zip(compiled.net_names, values)}
 
 

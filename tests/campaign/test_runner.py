@@ -200,6 +200,22 @@ run_campaign(
 """
 
 
+def _kill_group(pgid: int) -> None:
+    """SIGKILL a process group and wait until none of its processes is left."""
+    try:
+        os.killpg(pgid, signal.SIGKILL)
+    except ProcessLookupError:
+        return
+    deadline = time.monotonic() + 30.0
+    while time.monotonic() < deadline:
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            return
+        time.sleep(0.05)
+    pytest.fail(f"process group {pgid} still has processes after SIGKILL")
+
+
 def test_resume_after_whole_process_sigkill_is_bit_identical(tmp_path):
     """SIGKILL the *campaign process* mid-run (not just a worker); the
     fsync'd journal must carry the finished shards into a resumed run whose
@@ -212,10 +228,13 @@ def test_resume_after_whole_process_sigkill_is_bit_identical(tmp_path):
     env = dict(os.environ)
     src = str(Path(repro.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    # A session of its own, so the hung worker (which outlives its killed
+    # driver) can be reaped with the group afterwards.
     driver = subprocess.Popen(
         [sys.executable, "-c",
          _DRIVER.format(spec=spec.to_json(), checkpoint=str(checkpoint))],
         env=env,
+        start_new_session=True,
     )
     try:
         # Shards 0 and 1 complete; the drill hangs the worker on shard 2,
@@ -238,6 +257,7 @@ def test_resume_after_whole_process_sigkill_is_bit_identical(tmp_path):
         if driver.poll() is None:
             driver.kill()
             driver.wait(timeout=30)
+        _kill_group(driver.pid)
 
     state = load_journal(checkpoint)
     assert len(state.results) >= 2

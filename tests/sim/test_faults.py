@@ -1,11 +1,17 @@
 """Tests for clocked sampling and timing-error injection."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.benchcircuits import comparator2
+from repro.engine import compile_circuit
 from repro.errors import SimulationError
 from repro.sim import (
     eval_with_faults,
+    eval_words_with_faults,
     exhaustive_patterns,
     random_patterns,
     sample_at_clock,
@@ -14,6 +20,7 @@ from repro.sim import (
     timing_errors,
 )
 from repro.sta import analyze
+from tests.conftest import random_dag_circuit
 
 
 def test_sampling_at_full_period_is_error_free():
@@ -119,3 +126,60 @@ def test_error_rate_grows_with_aging():
     assert rates[0] == 0
     assert rates[0] <= rates[1] <= rates[2]
     assert rates[2] > 0
+
+
+def _reference_faults(circuit, pattern, flips, stuck):
+    """Gate-by-gate scalar fault evaluation on the netlist (no engine)."""
+    values = {}
+    for net in (*circuit.inputs, *circuit.topo_order()):
+        if net in circuit.inputs:
+            value = pattern[net]
+        else:
+            gate = circuit.gates[net]
+            value = gate.cell.evaluate_seq([values[f] for f in gate.fanins])
+        if net in stuck:
+            value = stuck[net]
+        values[net] = bool(value) != (net in flips)
+    return values
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 100_000), width=st.sampled_from([0, 1, 7, 70]))
+def test_word_fault_evaluator_equals_scalar_per_bit(seed, width):
+    c = random_dag_circuit(seed, num_inputs=4, num_gates=10)
+    rng = random.Random(seed)
+    nets = [*c.inputs, *sorted(c.gates)]
+    stuck = {net: bool(rng.getrandbits(1)) for net in rng.sample(nets, 2)}
+    # One net both flipped (in some patterns) and stuck.
+    flipped = [next(iter(stuck)), *rng.sample(nets, 2)]
+    flips = {net: rng.getrandbits(width) if width else 0 for net in flipped}
+    patterns = [
+        {x: bool(rng.getrandbits(1)) for x in c.inputs} for _ in range(width)
+    ]
+    row = [sum(p[x] << k for k, p in enumerate(patterns)) for x in c.inputs]
+    words = eval_words_with_faults(c, row, width, flips=flips, stuck=stuck)
+    names = compile_circuit(c).net_names
+    for k, pattern in enumerate(patterns):
+        hit = {net for net, word in flips.items() if word >> k & 1}
+        want = _reference_faults(c, pattern, hit, stuck)
+        assert {n: bool(w >> k & 1) for n, w in zip(names, words)} == want
+        assert eval_with_faults(c, pattern, flips=hit, stuck=stuck) == want
+
+
+def test_flip_over_stuck_gives_inverted_stuck_value():
+    c = comparator2()
+    pattern = dict.fromkeys(c.inputs, False)
+    out = eval_with_faults(c, pattern, flips=["y"], stuck={"y": True})
+    assert out["y"] is False
+    row = [0] * len(c.inputs)
+    words = eval_words_with_faults(c, row, 2, flips={"y": 0b10}, stuck={"y": True})
+    assert words[compile_circuit(c).net_index["y"]] == 0b01
+
+
+def test_word_fault_evaluator_rejects_unknown_net_and_bad_row():
+    c = comparator2()
+    row = [0] * len(c.inputs)
+    with pytest.raises(SimulationError, match="unknown net"):
+        eval_words_with_faults(c, row, 1, stuck={"zz9": True})
+    with pytest.raises(SimulationError, match="input words"):
+        eval_words_with_faults(c, row[1:], 1)
